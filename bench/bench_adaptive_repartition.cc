@@ -142,8 +142,7 @@ ArmResult RunArm(const Relation& source, const AdaptiveBenchOptions& opt,
   Timer steady_timer;
   for (size_t q = 0; q < total_queries; ++q) {
     if (q == warmup) steady_timer.Restart();
-    const QueryResult r = db.Query("R", MakeQuery(gen.Next(&rng)));
-    result.checksum += r.num_rows;
+    result.checksum += db.Execute({"R", MakeQuery(gen.Next(&rng))})->count;
     // The tick runs inside the measured window on purpose: repartition
     // cost is part of adaptive steady state, not free.
     if (adaptive && opt.tick > 0 && (q + 1) % opt.tick == 0) {
@@ -181,7 +180,7 @@ bool VerifyAcrossRepartitions(const Relation& source,
   const size_t checks = args.smoke ? 60 : 200;
   for (size_t q = 0; q < checks; ++q) {
     const QuerySpec spec = MakeQuery(gen.Next(&rng));
-    if (ZipRows(db.Query("R", spec)) != ZipRows(plain.Run(spec))) {
+    if (ZipRows(db.Execute({"R", spec})->rows) != ZipRows(plain.Run(spec))) {
       return false;
     }
     if ((q + 1) % 10 == 0 && db.MaybeRepartition("R")) ++actions;
@@ -306,13 +305,13 @@ void Run(const BenchArgs& args, const AdaptiveBenchOptions& opt) {
     WorkloadGen gen(workloads.front(), total_queries / 4);
     Rng rng(args.seed + 77);
     for (size_t q = 0; q < total_queries / 4; ++q) {
-      (void)db.Query("R", MakeQuery(gen.Next(&rng)));
+      (void)db.Execute({"R", MakeQuery(gen.Next(&rng))});
       if ((q + 1) % effective.tick == 0) db.MaybeRepartition("R");
     }
     // A tail of tick-free queries: an executed tick resets the histogram,
     // so without these the access column could print all zeros.
     for (size_t q = 0; q < 64; ++q) {
-      (void)db.Query("R", MakeQuery(gen.Next(&rng)));
+      (void)db.Execute({"R", MakeQuery(gen.Next(&rng))});
     }
     std::printf("# per-partition skew after %zu %s queries:\n",
                 total_queries / 4 + 64, workloads.front().c_str());

@@ -1,6 +1,6 @@
 // The batch/async execution pipeline vs the per-op loop: clients push the
-// same traffic through Database::Query / Insert / Delete one op at a time
-// and through QueryBatch / ApplyBatch in batches of B, and the bench
+// same traffic through Database::Execute / Insert / Delete one op at a
+// time and through ExecuteBatch / ApplyBatch in batches of B, and the bench
 // reports aggregate ops/sec per batch size. Batching wins by amortization:
 // one FindTable and one scheduling pass per batch, one partition-lock
 // acquisition per (partition, batch) instead of per op, and one writer_mu
@@ -24,6 +24,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -78,7 +79,7 @@ std::unique_ptr<Database> MakeDatabase(const Relation& source,
 /// the batch_async equivalence tests; the bench keeps the write stream
 /// insert-only so both modes do identical work.)
 struct ClientTraffic {
-  std::vector<QuerySpec> queries;
+  std::vector<Query> queries;
   std::vector<WriteOp> writes;
 };
 
@@ -96,7 +97,7 @@ ClientTraffic GenerateTraffic(uint64_t seed, size_t num_queries,
         rng.Bernoulli(0.7) ? RangePredicate::Point(rng.Uniform(1, kDomain))
                            : RandomRange(&rng, 1, kDomain, selectivity);
     traffic.queries.push_back(
-        SelectProject({{AttrName(1), pred}}, {AttrName(7)}));
+        {"R", SelectProject({{AttrName(1), pred}}, {AttrName(7)})});
   }
   traffic.writes.reserve(num_writes);
   for (size_t i = 0; i < num_writes; ++i) {
@@ -115,10 +116,9 @@ void Warmup(Database* db, size_t rows, uint64_t seed) {
   const double selectivity =
       std::min(0.005, 1'000.0 / static_cast<double>(rows));
   for (int q = 0; q < 64; ++q) {
-    (void)db->Query(
-        "R", SelectProject({{AttrName(1), RandomRange(&rng, 1, kDomain,
-                                                      selectivity)}},
-                           {AttrName(7)}));
+    const RangePredicate pred = RandomRange(&rng, 1, kDomain, selectivity);
+    (void)db->Execute(
+        {"R", SelectProject({{AttrName(1), pred}}, {AttrName(7)})});
   }
 }
 
@@ -163,16 +163,16 @@ ModeResult RunMode(const Relation& source, const PipelineOptions& opt,
         const size_t q_count = std::min(batch, mine.queries.size() - q);
         if (batch == 1) {
           Timer timer;
-          checksum += db.Query("R", mine.queries[q]).num_rows;
+          checksum += db.Execute(mine.queries[q])->count;
           lat.push_back(timer.ElapsedMicros());
         } else {
           Timer timer;
-          const std::vector<QueryResult> results =
-              db.QueryBatch("R", {mine.queries.data() + q, q_count});
+          const std::vector<Expected<ExecuteResult>> results =
+              db.ExecuteBatch({mine.queries.data() + q, q_count});
           const double per_op =
               timer.ElapsedMicros() / static_cast<double>(q_count);
-          for (const QueryResult& r : results) {
-            checksum += r.num_rows;
+          for (const Expected<ExecuteResult>& r : results) {
+            checksum += r->count;
             lat.push_back(per_op);
           }
         }
@@ -229,25 +229,31 @@ bool VerifyEquivalence(const Relation& source, const PipelineOptions& opt) {
   Database& loop_db = *loop_owner;
   PlainEngine plain(source);
   Rng rng(271828);
-  std::vector<QuerySpec> specs;
+  std::vector<Query> queries;
   for (int q = 0; q < 12; ++q) {
-    specs.push_back(
+    QuerySpec spec =
         SelectProject({{AttrName(1), RandomRange(&rng, 1, kDomain, 0.02)},
                        {AttrName(3), RandomRange(&rng, 1, kDomain, 0.5)}},
-                      {AttrName(6), AttrName(7)}));
+                      {AttrName(6), AttrName(7)});
+    queries.push_back({"R", std::move(spec)});
   }
-  const std::vector<QueryResult> batched = batch_db.QueryBatch("R", specs);
-  for (size_t q = 0; q < specs.size(); ++q) {
-    const QueryResult looped = loop_db.Query("R", specs[q]);
-    if (batched[q].columns != looped.columns) return false;
-    if (ZipRows(batched[q]) != ZipRows(plain.Run(specs[q]))) return false;
+  const std::vector<Expected<ExecuteResult>> batched =
+      batch_db.ExecuteBatch(queries);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const Expected<ExecuteResult> looped = loop_db.Execute(queries[q]);
+    if (!batched[q].ok() || !looped.ok()) return false;
+    if (batched[q]->rows.columns != looped->rows.columns) return false;
+    if (ZipRows(batched[q]->rows) != ZipRows(plain.Run(queries[q].spec))) {
+      return false;
+    }
   }
   // Async answers must match too (exercises the pooled path when --pool>0).
   for (int q = 0; q < 4; ++q) {
     const QuerySpec spec = SelectProject(
         {{AttrName(1), RandomRange(&rng, 1, kDomain, 0.01)}}, {AttrName(7)});
-    if (ZipRows(batch_db.QueryAsync("R", spec).get()) !=
-        ZipRows(plain.Run(spec))) {
+    const Query query{"R", spec};
+    const Expected<ExecuteResult> async = batch_db.ExecuteAsync(query).get();
+    if (!async.ok() || ZipRows(async->rows) != ZipRows(plain.Run(query.spec))) {
       return false;
     }
   }

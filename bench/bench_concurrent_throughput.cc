@@ -121,7 +121,7 @@ ClientResult RunClient(Database* db, size_t rows, uint64_t seed, size_t ops,
       }
       continue;
     }
-    const QuerySpec spec =
+    QuerySpec spec =
         dice < update_p + point_p
             ? SelectProject({{AttrName(1), RangePredicate::Point(
                                                rng.Uniform(1, kDomain))}},
@@ -134,9 +134,9 @@ ClientResult RunClient(Database* db, size_t rows, uint64_t seed, size_t ops,
                     RandomRange(&rng, 1, kDomain, 0.5)}},
                   {AttrName(7)});
     Timer op_timer;
-    const QueryResult r = db->Query("R", spec);
+    const size_t matched = db->Execute({"R", std::move(spec)})->count;
     result.latencies_micros.push_back(op_timer.ElapsedMicros());
-    result.checksum += r.num_rows;
+    result.checksum += matched;
     ++result.queries;
   }
   return result;
@@ -157,7 +157,7 @@ bool VerifyAgainstPlain(const Relation& source,
         SelectProject({{AttrName(1), RandomRange(&rng, 1, kDomain, 0.02)},
                        {AttrName(3), RandomRange(&rng, 1, kDomain, 0.5)}},
                       {AttrName(6), AttrName(7)});
-    if (ZipRows(db.Query("R", spec)) != ZipRows(plain.Run(spec))) {
+    if (ZipRows(db.Execute({"R", spec})->rows) != ZipRows(plain.Run(spec))) {
       return false;
     }
   }

@@ -189,7 +189,7 @@ namespace {
 /// hand-built Query aggregates (the struct is public) get the same
 /// projection pushdown and terminal validation as Build() output —
 /// idempotent on already-compiled queries. Returns "" or the failure.
-std::string NormalizeTerminal(crackdb::Query& q) {
+std::string NormalizeTerminal(Query& q) {
   switch (q.consume.kind) {
     case ConsumeKind::kCount:
       q.spec.projections.clear();
@@ -252,12 +252,8 @@ std::string NormalizeTerminal(crackdb::Query& q) {
 
 }  // namespace
 
-std::string Database::ValidateQuery(const Table& t, const crackdb::Query& q) {
-  return ValidateQueryColumns(t.columns, q);
-}
-
-std::string Database::ValidateQueryColumns(
-    std::span<const std::string> columns, const crackdb::Query& q) {
+std::string Database::ValidateQuery(std::span<const std::string> columns,
+                                    const Query& q) {
   const auto known = [columns](const std::string& attr) {
     for (const std::string& column : columns) {
       if (column == attr) return true;
@@ -423,19 +419,42 @@ void Database::FillSystemQueryLog(Relation& out) {
   }
 }
 
-Expected<ExecuteResult> Database::ExecuteSystem(crackdb::Query query) {
-  const SystemSchema* schema = FindSystemSchema(query.table);
-  if (schema == nullptr) {
-    return QueryError{"unknown system table '" + query.table +
-                      "' (available: system.tables, system.partitions, "
-                      "system.metrics, system.query_log)"};
+Expected<Database::Admitted> Database::Admit(Query& query) {
+  Admitted admitted;
+  std::string invalid = std::move(query.error);  // the builder's error wins
+  std::span<const std::string> columns;
+  if (invalid.empty() && IsSystemTable(query.table)) {
+    const SystemSchema* schema = FindSystemSchema(query.table);
+    if (schema == nullptr) {
+      invalid = "unknown system table '" + query.table +
+                "' (available: system.tables, system.partitions, "
+                "system.metrics, system.query_log)";
+    } else {
+      columns = schema->columns;
+    }
+  } else if (invalid.empty()) {
+    admitted.table = FindTableOrNull(query.table);
+    if (admitted.table == nullptr) {
+      invalid = "unknown table '" + query.table + "'";
+    } else {
+      columns = admitted.table->columns;
+    }
   }
-  std::string invalid = NormalizeTerminal(query);
-  if (invalid.empty()) invalid = ValidateQueryColumns(schema->columns, query);
+  if (invalid.empty()) invalid = NormalizeTerminal(query);
+  if (invalid.empty()) invalid = ValidateQuery(columns, query);
   if (!invalid.empty()) {
     Metrics().query_errors.Add();
     return QueryError{std::move(invalid)};
   }
+  // System queries open their own trace after the snapshot is assembled.
+  if (query.trace && admitted.table != nullptr) {
+    admitted.trace = std::make_shared<obs::QueryTrace>();
+  }
+  return admitted;
+}
+
+ExecuteResult Database::ExecuteSystem(const Query& query) {
+  const SystemSchema* schema = FindSystemSchema(query.table);
   // Materialize the snapshot, then answer from it through a PlainEngine —
   // the snapshot is immutable and query-local, so no locking discipline
   // applies past this point. The snapshot assembly (Stats calls, registry
@@ -471,50 +490,60 @@ Expected<ExecuteResult> Database::ExecuteSystem(crackdb::Query query) {
   return result;
 }
 
-Expected<ExecuteResult> Database::Execute(crackdb::Query query) {
-  if (!query.error.empty()) {
-    Metrics().query_errors.Add();
-    return QueryError{std::move(query.error)};
+std::vector<ExecuteResult> Database::Dispatch(
+    Table& t, const std::string& table, std::span<const QuerySpec> specs,
+    std::span<const ConsumeSpec> consumes,
+    std::span<const std::shared_ptr<obs::QueryTrace>> traces) {
+  t.queries.fetch_add(specs.size(), std::memory_order_relaxed);
+  std::vector<obs::QueryTrace*> trace_ptrs;  // empty unless one is traced
+  for (size_t i = 0; i < traces.size(); ++i) {
+    if (traces[i] == nullptr) continue;
+    if (trace_ptrs.empty()) trace_ptrs.resize(traces.size(), nullptr);
+    // Admission: validation plus, for a batched or async query, its wait
+    // for the batch to assemble or the task to start.
+    traces[i]->AddSpan(obs::QueryTrace::kRootSpan, -1, "admission", 0.0,
+                       traces[i]->NowMicros());
+    trace_ptrs[i] = traces[i].get();
   }
-  if (IsSystemTable(query.table)) return ExecuteSystem(std::move(query));
-  Table* t = FindTableOrNull(query.table);
-  if (t == nullptr) {
-    Metrics().query_errors.Add();
-    return QueryError{"unknown table '" + query.table + "'"};
+  // No table-level lock: the sharded engine locks partition by partition
+  // and merges outside the locks.
+  std::vector<ExecuteResult> results =
+      t.engine->Execute(specs, consumes, trace_ptrs);
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (!trace_ptrs.empty() && trace_ptrs[i] != nullptr) {
+      trace_ptrs[i]->SetDuration(obs::QueryTrace::kRootSpan,
+                                 trace_ptrs[i]->NowMicros());
+      results[i].trace = traces[i];
+    }
+    LogQuery(table, consumes[i].kind, results[i]);
   }
-  std::string invalid = NormalizeTerminal(query);
-  if (invalid.empty()) invalid = ValidateQuery(*t, query);
-  if (!invalid.empty()) {
-    Metrics().query_errors.Add();
-    return QueryError{std::move(invalid)};
-  }
-  t->queries.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<obs::QueryTrace> trace;
-  if (query.trace) {
-    trace = std::make_shared<obs::QueryTrace>();
-    // Admission: everything between the trace epoch and engine entry.
-    trace->AddSpan(obs::QueryTrace::kRootSpan, -1, "admission", 0.0,
-                   trace->NowMicros());
-  }
-  ExecuteResult result =
-      t->engine->Execute(query.spec, query.consume, trace.get());
-  if (trace != nullptr) {
-    trace->SetDuration(obs::QueryTrace::kRootSpan, trace->NowMicros());
-    result.trace = std::move(trace);
-  }
-  LogQuery(query.table, query.consume.kind, result);
-  NoteOps(*t, 1);
+  return results;
+}
+
+ExecuteResult Database::DispatchOne(
+    Table& t, const Query& query,
+    const std::shared_ptr<obs::QueryTrace>& trace) {
+  std::vector<ExecuteResult> results = Dispatch(
+      t, query.table, {&query.spec, 1}, {&query.consume, 1}, {&trace, 1});
+  return std::move(results.front());
+}
+
+Expected<ExecuteResult> Database::Execute(Query query) {
+  Expected<Admitted> admitted = Admit(query);
+  if (!admitted.ok()) return QueryError{admitted.error()};
+  if (admitted->table == nullptr) return ExecuteSystem(query);
+  ExecuteResult result = DispatchOne(*admitted->table, query, admitted->trace);
+  NoteOps(*admitted->table, 1);
   return result;
 }
 
 std::vector<Expected<ExecuteResult>> Database::ExecuteBatch(
-    std::span<const crackdb::Query> queries) {
-  // Validate everything first, then run one engine batch per table (the
+    std::span<const Query> queries) {
+  // Admit everything first, then run one engine batch per table (the
   // batch scheduler groups its sub-queries by partition, so each target
   // partition is locked once per table batch). Results scatter back into
   // query order.
-  std::vector<std::optional<QueryError>> errors(queries.size());
-  std::vector<std::optional<ExecuteResult>> executed(queries.size());
+  std::vector<std::optional<Expected<ExecuteResult>>> out(queries.size());
   struct TableBatch {
     Table* table;
     std::string name;
@@ -522,146 +551,90 @@ std::vector<Expected<ExecuteResult>> Database::ExecuteBatch(
     std::vector<QuerySpec> specs;
     std::vector<ConsumeSpec> consumes;
     std::vector<std::shared_ptr<obs::QueryTrace>> traces;
-    bool any_traced = false;
   };
   std::vector<TableBatch> batches;
   for (size_t i = 0; i < queries.size(); ++i) {
-    crackdb::Query query = queries[i];
-    if (!query.error.empty()) {
-      Metrics().query_errors.Add();
-      errors[i] = QueryError{std::move(query.error)};
+    Query query = queries[i];
+    Expected<Admitted> admitted = Admit(query);
+    if (!admitted.ok()) {
+      out[i].emplace(QueryError{admitted.error()});
       continue;
     }
-    if (IsSystemTable(query.table)) {
+    if (admitted->table == nullptr) {
       // System tables answer from per-query snapshots; there is nothing
       // to batch, so they run inline in batch order.
-      Expected<ExecuteResult> r = ExecuteSystem(std::move(query));
-      if (r.ok()) {
-        executed[i] = std::move(r.value());
-      } else {
-        errors[i] = QueryError{r.error()};
-      }
-      continue;
-    }
-    Table* t = FindTableOrNull(query.table);
-    if (t == nullptr) {
-      Metrics().query_errors.Add();
-      errors[i] = QueryError{"unknown table '" + query.table + "'"};
-      continue;
-    }
-    std::string invalid = NormalizeTerminal(query);
-    if (invalid.empty()) invalid = ValidateQuery(*t, query);
-    if (!invalid.empty()) {
-      Metrics().query_errors.Add();
-      errors[i] = QueryError{std::move(invalid)};
+      out[i].emplace(ExecuteSystem(query));
       continue;
     }
     TableBatch* batch = nullptr;
     for (TableBatch& existing : batches) {
-      if (existing.table == t) {
+      if (existing.table == admitted->table) {
         batch = &existing;
         break;
       }
     }
     if (batch == nullptr) {
-      batches.push_back({t, query.table, {}, {}, {}, {}, false});
-      batch = &batches.back();
+      batch = &batches.emplace_back();
+      batch->table = admitted->table;
+      batch->name = query.table;
     }
     batch->indexes.push_back(i);
     batch->specs.push_back(std::move(query.spec));
     batch->consumes.push_back(std::move(query.consume));
-    if (query.trace) {
-      batch->traces.push_back(std::make_shared<obs::QueryTrace>());
-      batch->any_traced = true;
-    } else {
-      batch->traces.push_back(nullptr);
-    }
+    batch->traces.push_back(std::move(admitted->trace));
   }
 
   for (TableBatch& batch : batches) {
-    batch.table->queries.fetch_add(batch.specs.size(),
-                                   std::memory_order_relaxed);
-    std::vector<obs::QueryTrace*> trace_ptrs;
-    if (batch.any_traced) {
-      trace_ptrs.reserve(batch.traces.size());
-      for (const std::shared_ptr<obs::QueryTrace>& tr : batch.traces) {
-        if (tr != nullptr) {
-          // Admission for a batched query: validation plus its wait for
-          // the batch to assemble and dispatch.
-          tr->AddSpan(obs::QueryTrace::kRootSpan, -1, "admission", 0.0,
-                      tr->NowMicros());
-        }
-        trace_ptrs.push_back(tr.get());
-      }
-    }
-    std::vector<ExecuteResult> results = batch.table->engine->ExecuteMany(
-        batch.specs, batch.consumes,
-        batch.any_traced ? std::span<obs::QueryTrace* const>(trace_ptrs)
-                         : std::span<obs::QueryTrace* const>{});
+    std::vector<ExecuteResult> results = Dispatch(
+        *batch.table, batch.name, batch.specs, batch.consumes, batch.traces);
     for (size_t j = 0; j < batch.indexes.size(); ++j) {
-      if (batch.traces[j] != nullptr) {
-        batch.traces[j]->SetDuration(obs::QueryTrace::kRootSpan,
-                                     batch.traces[j]->NowMicros());
-        results[j].trace = batch.traces[j];
-      }
-      LogQuery(batch.name, batch.consumes[j].kind, results[j]);
-      executed[batch.indexes[j]] = std::move(results[j]);
+      out[batch.indexes[j]].emplace(std::move(results[j]));
     }
     NoteOps(*batch.table, batch.specs.size());
   }
 
-  std::vector<Expected<ExecuteResult>> out;
-  out.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (errors[i].has_value()) {
-      out.push_back(std::move(*errors[i]));
-    } else {
-      out.push_back(std::move(*executed[i]));
-    }
+  std::vector<Expected<ExecuteResult>> flat;
+  flat.reserve(queries.size());
+  for (std::optional<Expected<ExecuteResult>>& result : out) {
+    flat.push_back(std::move(*result));
   }
-  return out;
+  return flat;
 }
 
-QueryResult Database::Query(const std::string& table, const QuerySpec& spec) {
-  Table& t = FindTable(table);
-  t.queries.fetch_add(1, std::memory_order_relaxed);
-  // No table-level lock: the sharded engine locks partition by partition
-  // and merges outside the locks. Run is the batch pipeline with one spec.
-  QueryResult result = t.engine->Run(spec);
-  NoteOps(t, 1);
-  return result;
-}
-
-std::future<QueryResult> Database::QueryAsync(const std::string& table,
-                                              QuerySpec spec) {
-  Table& t = FindTable(table);
-  t.queries.fetch_add(1, std::memory_order_relaxed);
-  // Compute the affinity key before the task construction moves the spec
+std::future<Expected<ExecuteResult>> Database::ExecuteAsync(Query query) {
+  Expected<Admitted> admitted = Admit(query);
+  if (!admitted.ok() || admitted->table == nullptr) {
+    // Rejections and system.* snapshots never touch the pool.
+    std::promise<Expected<ExecuteResult>> ready;
+    if (admitted.ok()) {
+      ready.set_value(ExecuteSystem(query));
+    } else {
+      ready.set_value(QueryError{admitted.error()});
+    }
+    return ready.get_future();
+  }
+  Table& t = *admitted->table;
+  // Compute the affinity key before the task construction moves the query
   // away.
-  const size_t home = t.engine->HomePartition(spec);
-  auto task = std::make_shared<std::packaged_task<QueryResult()>>(
-      [&t, spec = std::move(spec)] { return t.engine->Run(spec); });
-  std::future<QueryResult> future = task->get_future();
+  const size_t home = t.engine->HomePartition(query.spec);
+  auto task = std::make_shared<std::packaged_task<Expected<ExecuteResult>()>>(
+      [this, &t, query = std::move(query),
+       trace = std::move(admitted->trace)]() -> Expected<ExecuteResult> {
+        return DispatchOne(t, query, trace);
+      });
+  std::future<Expected<ExecuteResult>> future = task->get_future();
   if (pool_ == nullptr) {
     (*task)();
-    NoteOps(t, 1);
-    return future;
+  } else {
+    // Schedule the whole query next to its data: the home partition's
+    // index is the affinity key. Inside the worker, the engine detects it
+    // must not block on the pool and executes its partition groups inline.
+    pool_->Submit(home, [task] { (*task)(); });
   }
-  // Schedule the whole query next to its data: the home partition's index
-  // is the affinity key. Inside the worker, Run detects it must not block
-  // on the pool and executes its partition groups inline.
-  pool_->Submit(home, [task] { (*task)(); });
+  // On the client thread: a crossed trigger boundary spawns a tick
+  // thread, which must never be started from a pool worker mid-teardown.
   NoteOps(t, 1);
   return future;
-}
-
-std::vector<QueryResult> Database::QueryBatch(
-    const std::string& table, std::span<const QuerySpec> specs) {
-  Table& t = FindTable(table);
-  t.queries.fetch_add(specs.size(), std::memory_order_relaxed);
-  std::vector<QueryResult> results = t.engine->RunBatch(specs);
-  NoteOps(t, specs.size());
-  return results;
 }
 
 void Database::ApplyViews(Table& t, std::span<const WriteView> ops,
@@ -734,28 +707,29 @@ void Database::ApplyViews(Table& t, std::span<const WriteView> ops,
 
 std::vector<WriteOutcome> Database::ApplyBatch(const std::string& table,
                                                std::span<const WriteOp> ops) {
-  Table& t = FindTable(table);
   std::vector<WriteOutcome> outcomes(ops.size());
+  Table* t = FindTableOrNull(table);
+  if (t == nullptr) return outcomes;  // every op fails
   std::vector<WriteView> views;
   views.reserve(ops.size());
   for (const WriteOp& op : ops) {
     views.push_back({op.kind, op.values, op.key});
   }
-  ApplyViews(t, views, outcomes.data());
+  ApplyViews(*t, views, outcomes.data());
   return outcomes;
 }
 
 Key Database::Insert(const std::string& table, std::span<const Value> values) {
   const WriteView view{WriteOp::Kind::kInsert, values, kInvalidKey};
   WriteOutcome outcome;
-  ApplyViews(FindTable(table), {&view, 1}, &outcome);
+  if (Table* t = FindTableOrNull(table)) ApplyViews(*t, {&view, 1}, &outcome);
   return outcome.key;
 }
 
 bool Database::Delete(const std::string& table, Key global_key) {
   const WriteView view{WriteOp::Kind::kDelete, {}, global_key};
   WriteOutcome outcome;
-  ApplyViews(FindTable(table), {&view, 1}, &outcome);
+  if (Table* t = FindTableOrNull(table)) ApplyViews(*t, {&view, 1}, &outcome);
   return outcome.ok;
 }
 
@@ -772,12 +746,14 @@ struct TickFlagClearer {
 }  // namespace
 
 bool Database::MaybeRepartition(const std::string& table) {
-  Table& t = FindTable(table);
-  if (!t.adaptive.enabled || t.histogram == nullptr) return false;
+  Table* t = FindTableOrNull(table);
+  if (t == nullptr || !t->adaptive.enabled || t->histogram == nullptr) {
+    return false;
+  }
   // At most one tick in flight per table, manual or background.
-  if (t.tick_in_flight.exchange(true)) return false;
-  TickFlagClearer clearer{t.tick_in_flight};
-  return RunTick(t);
+  if (t->tick_in_flight.exchange(true)) return false;
+  TickFlagClearer clearer{t->tick_in_flight};
+  return RunTick(*t);
 }
 
 void Database::NoteOps(Table& t, size_t n) {

@@ -166,16 +166,20 @@ struct TableStats {
 /// cycle-free. Partition locks are never nested, including inside
 /// ApplyBatch (one is released before the next is taken).
 ///
-/// There is exactly one execution path: Query, QueryAsync, and QueryBatch
-/// all funnel into the ShardedEngine batch scheduler, and Insert/Delete
-/// are one-op ApplyBatch calls — the batch/async surface is the system,
-/// the synchronous methods are its degenerate case.
+/// There is one query surface — the fluent Query (From(...)...Build(), or
+/// a hand-built Query{table, spec}) run through Execute, ExecuteBatch, or
+/// ExecuteAsync — and one execution path under it: all three share one
+/// admission step (validation, tracing, logging) and funnel into
+/// ShardedEngine::Execute, the batch scheduler. Insert/Delete are one-op
+/// ApplyBatch calls. Queries, writes, and repartition ticks on an unknown
+/// table fail soft (an Expected error, kInvalidKey, or false) instead of
+/// aborting.
 class Database {
  public:
   explicit Database(DatabaseOptions options = {});
 
   /// Joins the pool before any table is torn down, so in-flight async
-  /// queries never touch a dead table. Queued QueryAsync tasks whose
+  /// queries never touch a dead table. Queued ExecuteAsync tasks whose
   /// futures were dropped still run to completion first.
   ~Database();
 
@@ -206,8 +210,8 @@ class Database {
   /// One adaptive-repartitioning tick, run inline on the calling (client)
   /// thread: consults the workload histogram and policy, and executes at
   /// most one hot-split or cold-merge. Returns true iff an action was
-  /// executed. No-op (false) when adaptivity is off for the table, the
-  /// table is hash-sharded, or another tick is already in flight. Must
+  /// executed. No-op (false) when the table is unknown, adaptivity is off
+  /// for it, it is hash-sharded, or another tick is already in flight. Must
   /// not be called from a pool worker of this database's pool (the
   /// rebuild blocks on engine-construction futures).
   bool MaybeRepartition(const std::string& table);
@@ -233,58 +237,52 @@ class Database {
   /// engine. Count/Aggregate queries push their scalars below the
   /// partition merge (zero reconstruction, no tuple data crossing the
   /// merge); ForEach streams rows sequentially on the calling thread.
-  Expected<ExecuteResult> Execute(crackdb::Query query);
+  /// Materialize results merge outside the partition locks and equal (as
+  /// a multiset) the same spec run on an unsharded engine.
+  Expected<ExecuteResult> Execute(Query query);
 
   /// Batch variant: queries may target different tables; per table they
   /// run as one scheduled engine batch (one lock acquisition per target
-  /// partition per batch). Results come back in query order; invalid
-  /// queries yield their error without executing and without disturbing
-  /// the rest of the batch.
+  /// partition per batch, partition groups fanned out across the pool
+  /// with partition affinity). Results come back in query order,
+  /// row-for-row identical to calling Execute in a loop; invalid queries
+  /// yield their error without executing and without disturbing the rest
+  /// of the batch.
   std::vector<Expected<ExecuteResult>> ExecuteBatch(
-      std::span<const crackdb::Query> queries);
+      std::span<const Query> queries);
 
-  /// Evaluates `spec` across the table's partitions; results merge outside
-  /// the partition locks. Identical rows (as a multiset) to running the
-  /// same spec on an unsharded engine over the source relation. Thin
-  /// wrapper over the batch pipeline (a batch of one) with Materialize
-  /// consumption — the fluent surface's default terminal.
-  QueryResult Query(const std::string& table, const QuerySpec& spec);
-
-  /// Schedules `spec` on the pool with its home partition as the affinity
-  /// key and returns immediately; the future yields the same result Query
-  /// would. Without a pool the query runs inline and the future is ready
-  /// on return. Futures may outlive the caller's frame but not the
-  /// Database; dropping one without waiting is allowed.
-  std::future<QueryResult> QueryAsync(const std::string& table,
-                                      QuerySpec spec);
-
-  /// Executes many specs as one pipelined batch: their partition
-  /// sub-queries are grouped so each target partition is locked once per
-  /// batch (not once per query), and partition groups fan out across the
-  /// pool with partition affinity. Returns one result per spec, in order,
-  /// row-for-row identical to calling Query in a loop.
-  std::vector<QueryResult> QueryBatch(const std::string& table,
-                                      std::span<const QuerySpec> specs);
+  /// Async variant: validates on the calling thread, then schedules the
+  /// query on the pool with its home partition as the affinity key and
+  /// returns immediately; the future yields what Execute would. Invalid
+  /// queries (and system.* snapshots) never touch the pool — their future
+  /// is ready on return, as is every future without a pool. Futures may
+  /// outlive the caller's frame but not the Database; dropping one
+  /// without waiting is allowed.
+  std::future<Expected<ExecuteResult>> ExecuteAsync(Query query);
 
   /// Group commit of a mixed Insert/Delete batch: takes `writer_mu` ONCE
   /// for the whole batch and re-acquires a partition lock only when
   /// consecutive ops target different partitions. Ops apply in order, so
   /// outcomes (keys included) are identical to the equivalent
   /// Insert/Delete loop; partition-clustered batches (bulk loads, range
-  /// ingest) pay one lock acquisition per cluster.
+  /// ingest) pay one lock acquisition per cluster. An unknown table fails
+  /// every op ({false, kInvalidKey}).
   std::vector<WriteOutcome> ApplyBatch(const std::string& table,
                                        std::span<const WriteOp> ops);
 
   /// Routes one tuple to its partition by the organizing attribute and
   /// appends it; returns the global key. Per-partition engines merge the
-  /// insert lazily on their next relevant query (pending/ripple). Thin
-  /// wrapper over ApplyBatch (a batch of one).
+  /// insert lazily on their next relevant query (pending/ripple); returns
+  /// kInvalidKey for an unknown table. Thin wrapper over ApplyBatch (a
+  /// batch of one).
   Key Insert(const std::string& table, std::span<const Value> values);
 
-  /// Tombstones the row with this global key. False if unknown or already
-  /// dead. Thin wrapper over ApplyBatch (a batch of one).
+  /// Tombstones the row with this global key. False if the table or key is
+  /// unknown or the row is already dead. Thin wrapper over ApplyBatch (a
+  /// batch of one).
   bool Delete(const std::string& table, Key global_key);
 
+  /// Dies on an unknown table, as do engine() and partitions().
   TableStats Stats(const std::string& table) const;
 
   std::vector<std::string> table_names() const;
@@ -377,27 +375,51 @@ class Database {
   bool RunTick(Table& t);
 
   Table& FindTable(const std::string& table) const;
-  /// Non-dying lookup for the validated Execute path.
+  /// Non-dying lookup for the fail-soft public calls.
   Table* FindTableOrNull(const std::string& table) const;
 
-  /// "" when valid; otherwise the first unknown-attribute failure. The
-  /// caller checks the query's builder-recorded error first and runs the
-  /// terminal normalization (NormalizeTerminal in database.cc, which
-  /// re-applies the builder's compile step so hand-built Query structs
-  /// are as safe as Build() output) before this name check.
-  static std::string ValidateQuery(const Table& t, const crackdb::Query& q);
+  /// What admission hands to dispatch: the target table (null for a
+  /// system.* query, which ExecuteSystem answers) and the query's trace,
+  /// opened at admission when the query asked for one.
+  struct Admitted {
+    Table* table = nullptr;
+    std::shared_ptr<obs::QueryTrace> trace;
+  };
 
-  /// The schema-agnostic core of ValidateQuery: checks every referenced
-  /// attribute against an explicit column list (regular tables pass the
-  /// registration snapshot, system.* tables their fixed schemas).
-  static std::string ValidateQueryColumns(std::span<const std::string> columns,
-                                          const crackdb::Query& q);
+  /// The admission step shared by Execute, ExecuteBatch, and ExecuteAsync,
+  /// applied to `query` in place: the builder's recorded error, the table
+  /// (or system.* schema) lookup, the terminal normalization
+  /// (NormalizeTerminal in database.cc re-applies the builder's compile
+  /// step, so hand-built Query structs are as safe as Build() output), and
+  /// the attribute-name check. Counts every rejection.
+  Expected<Admitted> Admit(Query& query);
 
-  /// Serves a query on a system.* virtual table: materializes a transient
-  /// Relation snapshot of the requested view and answers it through a
-  /// PlainEngine, so predicates, projections, every terminal, and the
-  /// Expected validation errors behave exactly as on a regular table.
-  Expected<ExecuteResult> ExecuteSystem(crackdb::Query query);
+  /// "" when every attribute `q` references is in `columns` (the table's
+  /// registration snapshot, or a system.* table's fixed schema); otherwise
+  /// the first unknown-attribute failure.
+  static std::string ValidateQuery(std::span<const std::string> columns,
+                                   const Query& q);
+
+  /// Runs admitted queries of one table as one engine batch and closes
+  /// their bookkeeping: the table's query counter, each trace's admission
+  /// span and root duration, and the per-query LogQuery epilogue.
+  /// `consumes` and `traces` are parallel to `specs` (null traces =
+  /// untraced). Callers count the ops toward the repartition trigger
+  /// (NoteOps) on the client thread.
+  std::vector<ExecuteResult> Dispatch(
+      Table& t, const std::string& table, std::span<const QuerySpec> specs,
+      std::span<const ConsumeSpec> consumes,
+      std::span<const std::shared_ptr<obs::QueryTrace>> traces);
+
+  /// Dispatch of one admitted query, borrowing its spec and terminal.
+  ExecuteResult DispatchOne(Table& t, const Query& query,
+                            const std::shared_ptr<obs::QueryTrace>& trace);
+
+  /// Serves an admitted query on a system.* virtual table: materializes a
+  /// transient Relation snapshot of the requested view and answers it
+  /// through a PlainEngine, so predicates, projections, and every terminal
+  /// behave exactly as on a regular table.
+  ExecuteResult ExecuteSystem(const Query& query);
 
   /// Snapshot builders for the system.* views; `out` is an empty relation
   /// carrying the view's schema.

@@ -119,10 +119,8 @@ class Engine {
 
   /// Convenience: Select + Fetch of every projection, with generic cost
   /// attribution (Select = selection cost, Fetch = reconstruction cost).
-  /// Virtual so composite engines (sharding) can fan the whole query out
-  /// and attribute per-partition costs precisely. Equivalent to
-  /// Execute(spec, ConsumeSpec::Materialize()).rows.
-  virtual QueryResult Run(const QuerySpec& spec);
+  /// Equivalent to Execute(spec, ConsumeSpec::Materialize()).rows.
+  QueryResult Run(const QuerySpec& spec);
 
   /// Evaluates `spec` and consumes the qualifying tuples per `consume`
   /// (engine/query.h): materialize, count, aggregate, or stream through a
@@ -132,8 +130,7 @@ class Engine {
   /// reconstruct_micros == 0 and charge their selection + fold to
   /// select_micros. The returned result carries this query's own cost
   /// delta in addition to the accumulation in cost().
-  virtual ExecuteResult Execute(const QuerySpec& spec,
-                                const ConsumeSpec& consume);
+  ExecuteResult Execute(const QuerySpec& spec, const ConsumeSpec& consume);
 
   CostBreakdown& cost() { return cost_; }
   const CostBreakdown& cost() const { return cost_; }

@@ -293,11 +293,13 @@ class Expected {
 /// engine-layer spec, the consumption terminal, and the first validation
 /// error the builder recorded (empty = valid so far; attribute/table
 /// existence is checked by Database::Execute, which knows the schema).
+/// A raw spec runs as `Query{table, spec}` (Materialize consumption) or
+/// `Query{table, spec, ConsumeSpec::Count()}`.
 struct Query {
   std::string table;
-  QuerySpec spec;
-  ConsumeSpec consume;
-  std::string error;
+  QuerySpec spec{};
+  ConsumeSpec consume{};
+  std::string error{};
   /// Record a span timeline for this query (QueryBuilder::Trace()).
   bool trace = false;
 };

@@ -1,6 +1,6 @@
 #include "engine/sharded_engine.h"
 
-#include <algorithm>
+#include <iterator>
 #include <cstdio>
 #include <cstdlib>
 #include <shared_mutex>
@@ -68,126 +68,6 @@ constexpr uint64_t kMetricsFlushBatches = 64;
 /// population count lives in engine_partition_groups_total.
 constexpr uint64_t kGroupSampleMask = 63;
 
-/// Merged result handle: per-shard materialized projection columns plus
-/// prefix sums for ordinal addressing. Owns every value it hands out, so
-/// it outlives the partition locks (which ExecuteShards released before
-/// this handle was built).
-class ShardedHandle : public SelectionHandle {
- public:
-  ShardedHandle(std::vector<std::string> projections,
-                std::vector<std::vector<std::vector<Value>>> shard_columns,
-                std::vector<size_t> shard_rows)
-      : projections_(std::move(projections)),
-        shard_columns_(std::move(shard_columns)) {
-    prefix_.reserve(shard_rows.size() + 1);
-    prefix_.push_back(0);
-    for (size_t rows : shard_rows) prefix_.push_back(prefix_.back() + rows);
-  }
-
-  size_t NumRows() override { return prefix_.back(); }
-
-  std::vector<Value> Fetch(const std::string& attr) override {
-    const size_t slot = ProjectionSlot(attr);
-    std::vector<Value> merged;
-    merged.reserve(NumRows());
-    for (const std::vector<std::vector<Value>>& shard : shard_columns_) {
-      merged.insert(merged.end(), shard[slot].begin(), shard[slot].end());
-    }
-    return merged;
-  }
-
-  std::vector<Value> FetchAt(const std::string& attr,
-                             std::span<const uint32_t> ordinals) override {
-    const size_t slot = ProjectionSlot(attr);
-    std::vector<Value> out;
-    out.reserve(ordinals.size());
-    for (uint32_t ord : ordinals) {
-      const size_t shard =
-          static_cast<size_t>(std::upper_bound(prefix_.begin(), prefix_.end(),
-                                               static_cast<size_t>(ord)) -
-                              prefix_.begin()) -
-          1;
-      out.push_back(shard_columns_[shard][slot][ord - prefix_[shard]]);
-    }
-    return out;
-  }
-
-  ConsumeOutcome Consume(const ConsumeSpec& consume,
-                         std::span<const std::string> projections) override {
-    // Fast paths over the per-shard materializations: fold or visit them
-    // shard by shard instead of concatenating into one merged column (the
-    // default Consume would go through Fetch, which concatenates).
-    ConsumeOutcome out;
-    if (consume.kind == ConsumeKind::kAggregate) {
-      const size_t slot = ProjectionSlot(consume.attr);
-      out.count = prefix_.back();
-      for (const std::vector<std::vector<Value>>& shard : shard_columns_) {
-        FoldSpan(consume.op, shard[slot], &out.aggregate,
-                 &out.aggregate_valid);
-      }
-      return out;
-    }
-    if (consume.kind == ConsumeKind::kGroupBy) {
-      const size_t gslot = ProjectionSlot(consume.group_attr);
-      std::vector<size_t> agg_slots(consume.group_aggs.size(), 0);
-      for (size_t a = 0; a < consume.group_aggs.size(); ++a) {
-        if (consume.group_aggs[a].op == AggregateOp::kCount) continue;
-        agg_slots[a] = ProjectionSlot(consume.group_aggs[a].attr);
-      }
-      GroupAccumulator acc(consume);
-      std::vector<const Value*> columns(consume.group_aggs.size(), nullptr);
-      for (const std::vector<std::vector<Value>>& shard : shard_columns_) {
-        for (size_t a = 0; a < consume.group_aggs.size(); ++a) {
-          columns[a] = consume.group_aggs[a].op == AggregateOp::kCount
-                           ? nullptr
-                           : shard[agg_slots[a]].data();
-        }
-        acc.AddChunk(shard[gslot].data(), nullptr, shard[gslot].size(),
-                     columns);
-      }
-      out.count = prefix_.back();
-      out.groups = acc.Take();
-      return out;
-    }
-    if (consume.kind == ConsumeKind::kForEach) {
-      out.count = prefix_.back();
-      if (projections.empty()) return out;
-      std::vector<size_t> slots;
-      slots.reserve(projections.size());
-      for (const std::string& attr : projections) {
-        slots.push_back(ProjectionSlot(attr));
-      }
-      std::vector<Value> row(projections.size());
-      for (const std::vector<std::vector<Value>>& shard : shard_columns_) {
-        const size_t rows = shard[slots[0]].size();
-        for (size_t r = 0; r < rows; ++r) {
-          for (size_t c = 0; c < slots.size(); ++c) {
-            row[c] = shard[slots[c]][r];
-          }
-          consume.visitor(row);
-        }
-      }
-      return out;
-    }
-    return SelectionHandle::Consume(consume, projections);
-  }
-
- private:
-  size_t ProjectionSlot(const std::string& attr) const {
-    for (size_t i = 0; i < projections_.size(); ++i) {
-      if (projections_[i] == attr) return i;
-    }
-    // The projections declaration is binding for sharded execution: only
-    // declared attributes were materialized inside the partition locks.
-    Die("fetch of undeclared projection", attr);
-  }
-
-  std::vector<std::string> projections_;
-  // shard_columns_[shard][projection_slot] -> values
-  std::vector<std::vector<std::vector<Value>>> shard_columns_;
-  std::vector<size_t> prefix_;
-};
-
 /// True when a sub-query can be answered in a compressed partition's
 /// encoded domain, without touching (or building) any cracked structure:
 /// scalar consumption (Count, or an Aggregate other than COUNT — plain
@@ -195,11 +75,10 @@ class ShardedHandle : public SelectionHandle {
 /// tombstones (the encoded scans are tombstone-blind; Relation::Compress
 /// enforces the same invariant, so this check is defensive).
 bool EncodedServable(const Relation& part, const QuerySpec& spec,
-                     const ConsumeSpec* consume) {
-  if (consume == nullptr) return false;
-  if (consume->kind == ConsumeKind::kAggregate) {
-    if (consume->op == AggregateOp::kCount) return false;
-  } else if (consume->kind != ConsumeKind::kCount) {
+                     const ConsumeSpec& consume) {
+  if (consume.kind == ConsumeKind::kAggregate) {
+    if (consume.op == AggregateOp::kCount) return false;
+  } else if (consume.kind != ConsumeKind::kCount) {
     return false;
   }
   return spec.selections.size() <= 1 && part.num_deleted() == 0;
@@ -524,10 +403,7 @@ ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
     for (size_t i = 0; i < groups[p].size(); ++i) {
       const SubQuery& sub = groups[p][i];
       const QuerySpec& spec = specs[sub.spec_index];
-      const ConsumeSpec* consume =
-          consumes.empty() ? nullptr : &consumes[sub.spec_index];
-      const ConsumeKind kind =
-          consume == nullptr ? ConsumeKind::kMaterialize : consume->kind;
+      const ConsumeSpec& consume = consumes[sub.spec_index];
       ShardResult& shard = results[sub.spec_index][sub.slot];
       obs::QueryTrace* tr =
           sub_traces.empty() ? nullptr : sub_traces[i].trace;
@@ -540,7 +416,7 @@ ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
           // structure is built or advanced — cold partitions stay cold.
           const double t0 = tr == nullptr ? 0.0 : tr->NowMicros();
           Timer encoded_timer;
-          ServeEncoded(part, spec, *consume, &shard.num_rows,
+          ServeEncoded(part, spec, consume, &shard.num_rows,
                        &shard.aggregate, &shard.aggregate_valid);
           shard.cost.select_micros = encoded_timer.ElapsedMicros();
           encoded_queries_.fetch_add(1, std::memory_order_relaxed);
@@ -588,7 +464,7 @@ ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
       shard.cost.prepare_micros = prepare;
       shard.cost.select_micros = select_elapsed - prepare;
 
-      switch (kind) {
+      switch (consume.kind) {
         case ConsumeKind::kCount:
           // The pushdown at its purest: the partition contributes one
           // integer. No attribute is fetched, no reconstruction happens.
@@ -602,8 +478,7 @@ ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
           // (reconstruct stays 0 — no tuple reaches the caller).
           const double t0 = tr == nullptr ? 0.0 : tr->NowMicros();
           Timer fold_timer;
-          ConsumeOutcome out =
-              handle->Consume(consumes[sub.spec_index], spec.projections);
+          ConsumeOutcome out = handle->Consume(consume, spec.projections);
           shard.num_rows = out.count;
           shard.aggregate = out.aggregate;
           shard.aggregate_valid = out.aggregate_valid;
@@ -748,50 +623,6 @@ ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
   return BatchOutput{std::move(results), engines_.size()};
 }
 
-std::vector<ShardedEngine::ShardResult> ShardedEngine::ExecuteShards(
-    const QuerySpec& spec) {
-  return std::move(ExecuteBatch({&spec, 1}, {}).results.front());
-}
-
-std::unique_ptr<SelectionHandle> ShardedEngine::Select(const QuerySpec& spec) {
-  std::vector<ShardResult> shards = ExecuteShards(spec);
-  std::vector<std::vector<std::vector<Value>>> columns;
-  std::vector<size_t> rows;
-  columns.reserve(shards.size());
-  rows.reserve(shards.size());
-  for (ShardResult& shard : shards) {
-    columns.push_back(std::move(shard.columns));
-    rows.push_back(shard.num_rows);
-  }
-  return std::make_unique<ShardedHandle>(spec.projections, std::move(columns),
-                                         std::move(rows));
-}
-
-QueryResult ShardedEngine::MergeShards(const QuerySpec& spec,
-                                       std::vector<ShardResult> shards) {
-  // Merge outside every partition lock: concatenate the per-shard
-  // materializations per projection, in partition order.
-  Timer merge_timer;
-  QueryResult result;
-  result.columns.resize(spec.projections.size());
-  size_t total_rows = 0;
-  for (const ShardResult& shard : shards) total_rows += shard.num_rows;
-  for (size_t c = 0; c < spec.projections.size(); ++c) {
-    result.columns[c].reserve(total_rows);
-    for (const ShardResult& shard : shards) {
-      result.columns[c].insert(result.columns[c].end(),
-                               shard.columns[c].begin(),
-                               shard.columns[c].end());
-    }
-  }
-  result.num_rows = total_rows;
-  {
-    std::lock_guard<std::mutex> lock(cost_mu_);
-    cost_.reconstruct_micros += merge_timer.ElapsedMicros();
-  }
-  return result;
-}
-
 ExecuteResult ShardedEngine::MergeExecute(const QuerySpec& spec,
                                           const ConsumeSpec& consume,
                                           std::vector<ShardResult> shards,
@@ -808,54 +639,38 @@ ExecuteResult ShardedEngine::MergeExecute(const QuerySpec& spec,
     result.cost.reconstruct_micros += shard.cost.reconstruct_micros;
     result.cost.prepare_micros += shard.cost.prepare_micros;
   }
-  switch (consume.kind) {
-    case ConsumeKind::kCount:
-      for (const ShardResult& shard : shards) result.count += shard.num_rows;
-      break;
-    case ConsumeKind::kAggregate:
-      // Scalar merge: partial sums add, partial mins/maxes fold — exactly
-      // one FoldValue per partition, zero tuple data moved.
-      for (const ShardResult& shard : shards) {
-        result.count += shard.num_rows;
-        if (shard.aggregate_valid) {
-          FoldValue(consume.op, shard.aggregate, &result.aggregate,
-                    &result.aggregate_valid);
-        }
+  if (consume.kind == ConsumeKind::kCount ||
+      consume.kind == ConsumeKind::kAggregate) {
+    // Scalar merge: counts add, partial sums add, partial mins/maxes fold
+    // — exactly one FoldValue per partition, zero tuple data moved, and
+    // nothing worth timing.
+    for (const ShardResult& shard : shards) {
+      result.count += shard.num_rows;
+      if (consume.kind == ConsumeKind::kAggregate && shard.aggregate_valid) {
+        FoldValue(consume.op, shard.aggregate, &result.aggregate,
+                  &result.aggregate_valid);
       }
-      break;
-    case ConsumeKind::kGroupBy: {
+    }
+  } else {
+    // The merges that move data across partitions: the grouped merge is
+    // select-side work (no tuple is reconstructed), the visit and
+    // materialize merges reconstruct-side. One timer, charged once — to
+    // the result, cost_, and the registry alike.
+    Timer merge_timer;
+    if (consume.kind == ConsumeKind::kGroupBy) {
       // The two-level merge: combine the per-partition partial tables on
       // the calling thread, outside every lock, then finalize (sort by
-      // group key, fill kCount columns). Like the scalar merge this is
-      // selection-side work — no tuple reconstruction crosses the merge,
-      // so reconstruct_micros stays exactly 0.
-      Timer merge_timer;
+      // group key, fill kCount columns).
       GroupAccumulator acc(consume);
       for (const ShardResult& shard : shards) {
         result.count += shard.num_rows;
         acc.Merge(shard.groups);
       }
       result.groups = FinalizeGrouped(consume, acc.Take());
-      const double merge_elapsed = merge_timer.ElapsedMicros();
-      result.cost.select_micros += merge_elapsed;
-      {
-        std::lock_guard<std::mutex> lock(cost_mu_);
-        cost_.select_micros += merge_elapsed;
-        if (obs::MetricsEnabled()) {
-          // The grouped merge is select-side work in the cost model; keep
-          // the registry's select total aligned with per-query costs.
-          pending_.dirty = true;
-          pending_.select_micros += merge_elapsed;
-          pending_.merge_micros += merge_elapsed;
-        }
-      }
-      break;
-    }
-    case ConsumeKind::kForEach: {
+    } else if (consume.kind == ConsumeKind::kForEach) {
       // Stream the per-partition materializations through the visitor in
       // partition order, sequentially, on the calling thread, outside
       // every lock — the cross-partition concatenation never happens.
-      Timer visit_timer;
       std::vector<Value> row(spec.projections.size());
       for (const ShardResult& shard : shards) {
         for (size_t r = 0; r < shard.num_rows; ++r) {
@@ -866,32 +681,33 @@ ExecuteResult ShardedEngine::MergeExecute(const QuerySpec& spec,
         }
         result.count += shard.num_rows;
       }
-      const double visit_elapsed = visit_timer.ElapsedMicros();
-      result.cost.reconstruct_micros += visit_elapsed;
-      {
-        std::lock_guard<std::mutex> lock(cost_mu_);
-        cost_.reconstruct_micros += visit_elapsed;
-        if (obs::MetricsEnabled()) {
-          pending_.dirty = true;
-          pending_.reconstruct_micros += visit_elapsed;
-          pending_.merge_micros += visit_elapsed;
+    } else {
+      // Materialize: concatenate the per-shard materializations per
+      // projection, in partition order.
+      for (const ShardResult& shard : shards) result.count += shard.num_rows;
+      result.rows.num_rows = result.count;
+      result.rows.columns.resize(spec.projections.size());
+      for (size_t c = 0; c < spec.projections.size(); ++c) {
+        result.rows.columns[c].reserve(result.count);
+        for (const ShardResult& shard : shards) {
+          result.rows.columns[c].insert(result.rows.columns[c].end(),
+                                        shard.columns[c].begin(),
+                                        shard.columns[c].end());
         }
       }
-      break;
     }
-    case ConsumeKind::kMaterialize: {
-      Timer merge_timer;
-      result.rows = MergeShards(spec, std::move(shards));  // charges cost_
-      result.count = result.rows.num_rows;
-      const double merge_elapsed = merge_timer.ElapsedMicros();
-      result.cost.reconstruct_micros += merge_elapsed;
-      if (obs::MetricsEnabled()) {
-        std::lock_guard<std::mutex> lock(cost_mu_);
-        pending_.dirty = true;
-        pending_.reconstruct_micros += merge_elapsed;
-        pending_.merge_micros += merge_elapsed;
-      }
-      break;
+    const double merge_elapsed = merge_timer.ElapsedMicros();
+    const bool select_side = consume.kind == ConsumeKind::kGroupBy;
+    (select_side ? result.cost.select_micros
+                 : result.cost.reconstruct_micros) += merge_elapsed;
+    std::lock_guard<std::mutex> lock(cost_mu_);
+    (select_side ? cost_.select_micros : cost_.reconstruct_micros) +=
+        merge_elapsed;
+    if (obs::MetricsEnabled()) {
+      pending_.dirty = true;
+      (select_side ? pending_.select_micros : pending_.reconstruct_micros) +=
+          merge_elapsed;
+      pending_.merge_micros += merge_elapsed;
     }
   }
   if (trace != nullptr) {
@@ -901,51 +717,16 @@ ExecuteResult ShardedEngine::MergeExecute(const QuerySpec& spec,
   return result;
 }
 
-ExecuteResult ShardedEngine::Execute(const QuerySpec& spec,
-                                     const ConsumeSpec& consume) {
-  return Execute(spec, consume, nullptr);
-}
-
-ExecuteResult ShardedEngine::Execute(const QuerySpec& spec,
-                                     const ConsumeSpec& consume,
-                                     obs::QueryTrace* trace) {
-  obs::QueryTrace* const traces[1] = {trace};
-  std::vector<ExecuteResult> results =
-      ExecuteMany({&spec, 1}, {&consume, 1},
-                  trace == nullptr ? std::span<obs::QueryTrace* const>{}
-                                   : std::span<obs::QueryTrace* const>(
-                                         traces, 1));
-  return std::move(results.front());
-}
-
-std::vector<ExecuteResult> ShardedEngine::ExecuteMany(
+std::vector<ExecuteResult> ShardedEngine::Execute(
     std::span<const QuerySpec> specs, std::span<const ConsumeSpec> consumes,
     std::span<obs::QueryTrace* const> traces) {
   BatchOutput batch = ExecuteBatch(specs, consumes, traces);
-  static const ConsumeSpec kMaterializeAll = ConsumeSpec::Materialize();
   std::vector<ExecuteResult> results;
   results.reserve(specs.size());
   for (size_t s = 0; s < specs.size(); ++s) {
-    const ConsumeSpec& consume =
-        consumes.empty() ? kMaterializeAll : consumes[s];
     results.push_back(MergeExecute(
-        specs[s], consume, std::move(batch.results[s]),
+        specs[s], consumes[s], std::move(batch.results[s]),
         traces.empty() ? nullptr : traces[s], batch.num_partitions));
-  }
-  return results;
-}
-
-QueryResult ShardedEngine::Run(const QuerySpec& spec) {
-  return std::move(Execute(spec, ConsumeSpec::Materialize()).rows);
-}
-
-std::vector<QueryResult> ShardedEngine::RunBatch(
-    std::span<const QuerySpec> specs) {
-  std::vector<ExecuteResult> executed = ExecuteMany(specs, {});
-  std::vector<QueryResult> results;
-  results.reserve(executed.size());
-  for (ExecuteResult& result : executed) {
-    results.push_back(std::move(result.rows));
   }
   return results;
 }

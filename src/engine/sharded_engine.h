@@ -21,19 +21,20 @@
 namespace crackdb {
 
 /// Partitioned execution over any engine kind: owns one per-partition
-/// engine instance (stamped out by an EngineFactory) and evaluates a
-/// QuerySpec by fanning partition-local sub-queries out across a
-/// ThreadPool, then merging the per-partition results and summing the
-/// per-partition CostBreakdowns.
+/// engine instance (stamped out by an EngineFactory) and evaluates a batch
+/// of QuerySpecs by fanning partition-local sub-queries out across a
+/// ThreadPool, then merging the per-partition results per consumption
+/// mode and summing the per-partition CostBreakdowns.
 ///
-/// All execution — single query or batch, pooled or inline — funnels
-/// through one path, ExecuteBatch: the sub-queries of every spec in a
-/// batch are grouped *by partition*, and each partition's group runs as
-/// one task submitted with the partition index as its ThreadPool affinity
-/// key, under a single acquisition of that partition's lock. A batch of k
-/// selective queries on one partition therefore costs one lock round-trip
-/// and one scheduling hop instead of k, and the partition's cracked
-/// structures stay on their home worker across batches.
+/// Execute is the one query entry point — a single query is a batch of
+/// one. The sub-queries of every spec in a batch are grouped *by
+/// partition*, and each partition's group runs as one task submitted with
+/// the partition index as its ThreadPool affinity key, under a single
+/// acquisition of that partition's lock. A batch of k selective queries on
+/// one partition therefore costs one lock round-trip and one scheduling
+/// hop instead of k, and the partition's cracked structures stay on their
+/// home worker across batches. Clients reach it through the Database
+/// facade (Execute / ExecuteBatch / ExecuteAsync).
 ///
 /// Concurrency contract — this is the one engine that IS safe to call from
 /// many client threads at once:
@@ -42,11 +43,10 @@ namespace crackdb {
 ///    exclusive lock (PartitionedRelation::partition_mutex); two clients
 ///    touching disjoint partitions proceed in parallel, two clients
 ///    cracking the same partition serialize;
-///  - all projected attributes are materialized inside the lock (the spec's
-///    `projections` declaration is binding, as for the chunk-wise engines),
-///    so the returned SelectionHandle owns plain value vectors and stays
-///    valid however long the caller holds it — result *merging* happens
-///    outside every lock;
+///  - all projected attributes are materialized (or folded) inside the
+///    lock (the spec's `projections` declaration is binding, as for the
+///    chunk-wise engines), so result *merging* happens outside every lock
+///    and the returned results own plain value vectors;
 ///  - writers (the Database facade's insert/delete paths) take the same
 ///    per-partition locks exclusively, statistics snapshots take them
 ///    shared. See docs/ARCHITECTURE.md, "Locking discipline";
@@ -60,7 +60,7 @@ namespace crackdb {
 /// attribute (hash sharding prunes point predicates), so a converged
 /// sharded cracker answers a selective query by locking a single
 /// partition.
-class ShardedEngine : public Engine {
+class ShardedEngine {
  public:
   /// `pool` may be null: partition sub-queries then run sequentially on
   /// the calling thread (still under the per-partition locks, so
@@ -70,50 +70,32 @@ class ShardedEngine : public Engine {
                 ThreadPool* pool = nullptr);
 
   /// Drains any pending (batched) registry increments — see FlushMetrics.
-  ~ShardedEngine() override;
+  ~ShardedEngine();
 
-  std::string name() const override;
+  std::string name() const;
 
-  std::unique_ptr<SelectionHandle> Select(const QuerySpec& spec) override;
-  QueryResult Run(const QuerySpec& spec) override;
-
-  /// Consumption-mode execution with the pushdown below the partition
-  /// merge: Count/Aggregate queries compute partial scalars inside each
-  /// partition's lock and the merge combines scalars, GroupBy queries
-  /// build partial hash-aggregation tables inside the locks and the merge
-  /// combines partial tables — no tuple data crosses the merge at all,
+  /// Executes `specs` as one scheduled batch (one lock acquisition per
+  /// target partition) and returns one tagged result per spec, in order,
+  /// consumed per the parallel `consumes`. The pushdown sits below the
+  /// partition merge: Count/Aggregate queries compute partial scalars
+  /// inside each partition's lock and the merge combines scalars, GroupBy
+  /// queries build partial hash-aggregation tables inside the locks and
+  /// the merge combines partial tables — no tuple data crosses the merge,
   /// and the result's CostBreakdown attributes exactly zero
-  /// reconstruction. ForEach materializes per partition
-  /// inside the locks (the sharded lifetime contract) but skips the
-  /// cross-partition concatenation: the visitor walks the per-partition
-  /// columns in partition order, sequentially, on the calling thread.
-  ExecuteResult Execute(const QuerySpec& spec,
-                        const ConsumeSpec& consume) override;
-
-  /// Traced variant: when `trace` is non-null the batch pipeline records
-  /// a span per phase into it — per-partition affine task (queue wait,
-  /// lock wait, kernel time) plus the shard merge — all parented on the
-  /// trace's root span. Also stamps partitions_touched/pruned on the
-  /// result. Null behaves exactly like the untraced overload.
-  ExecuteResult Execute(const QuerySpec& spec, const ConsumeSpec& consume,
-                        obs::QueryTrace* trace);
-
-  /// Batch variant of Execute: one scheduled batch (one lock acquisition
-  /// per target partition), one tagged result per spec. `consumes` is
-  /// parallel to `specs`; empty means materialize everything. `traces`
-  /// is parallel to `specs` when non-empty (null entries = untraced).
-  std::vector<ExecuteResult> ExecuteMany(std::span<const QuerySpec> specs,
-                                         std::span<const ConsumeSpec> consumes,
-                                         std::span<obs::QueryTrace* const>
-                                             traces = {});
-
-  /// Executes many specs as one scheduled batch: sub-queries are grouped
-  /// by partition and each partition's group runs under a single lock
-  /// acquisition, in batch order. Returns one QueryResult per spec,
-  /// row-for-row identical to running the same specs through Run one by
-  /// one (each partition sees the same sub-query sequence either way).
-  /// Thin wrapper over ExecuteMany with all-Materialize consumption.
-  std::vector<QueryResult> RunBatch(std::span<const QuerySpec> specs);
+  /// reconstruction. Materialize concatenates the per-partition columns
+  /// in partition order; ForEach walks them through the visitor instead,
+  /// sequentially, on the calling thread. Each partition sees the batch's
+  /// sub-queries in batch order, so a batch answers row-for-row like the
+  /// same specs executed one by one.
+  ///
+  /// `traces` is empty or parallel to `specs` (null entries = untraced):
+  /// a traced spec records a span per phase — per-partition affine task
+  /// (queue wait, lock wait, kernel time) plus the shard merge — all
+  /// parented on its trace's root span. Every result carries its
+  /// partitions_touched/pruned.
+  std::vector<ExecuteResult> Execute(std::span<const QuerySpec> specs,
+                                     std::span<const ConsumeSpec> consumes,
+                                     std::span<obs::QueryTrace* const> traces);
 
   /// The partition a spec's first sub-query targets (0 when it targets
   /// none) — the affinity key async callers use to schedule the whole
@@ -129,10 +111,9 @@ class ShardedEngine : public Engine {
   /// HomePartition do); quiescent callers need nothing.
   std::vector<size_t> TargetPartitions(const QuerySpec& spec) const;
 
-  /// Thread-safe copy of the summed cost breakdown. (The inherited cost()
-  /// reference is only safe to read when no query is in flight.) Also
-  /// drains pending registry increments, so a snapshot point doubles as a
-  /// metrics sync point.
+  /// Thread-safe copy of the summed cost breakdown. Also drains pending
+  /// registry increments, so a snapshot point doubles as a metrics sync
+  /// point.
   CostBreakdown CostSnapshot() const;
 
   /// Drains the engine's batched registry increments into the global
@@ -204,35 +185,28 @@ class ShardedEngine : public Engine {
     size_t num_partitions = 0;
   };
 
-  /// The one execution path. Groups the sub-queries of `specs` by target
-  /// partition, runs each partition's group as one affine task under a
-  /// single partition-lock acquisition (materializing every declared
-  /// projection — or, for scalar consumption, folding partials — inside
-  /// the lock), and sums the cost deltas into cost_. `consumes` is
-  /// parallel to `specs` (empty = materialize everything), as is
-  /// `traces` when non-empty (null entries = untraced). Falls
-  /// back to inline execution without a pool, with a single target group,
-  /// or when called from a pool worker (an async query's own task must
-  /// not block on the pool).
+  /// The scheduling half of Execute. Groups the sub-queries of `specs` by
+  /// target partition, runs each partition's group as one affine task
+  /// under a single partition-lock acquisition (materializing every
+  /// declared projection — or, for scalar consumption, folding partials —
+  /// inside the lock), and sums the cost deltas into cost_. `consumes` is
+  /// parallel to `specs`, as is `traces` when non-empty (null entries =
+  /// untraced). Falls back to inline execution without a pool, with a
+  /// single target group, or when called from a pool worker (an async
+  /// query's own task must not block on the pool).
   BatchOutput ExecuteBatch(std::span<const QuerySpec> specs,
                            std::span<const ConsumeSpec> consumes,
-                           std::span<obs::QueryTrace* const> traces = {});
+                           std::span<obs::QueryTrace* const> traces);
 
-  /// Single-spec convenience over ExecuteBatch (materialize consumption).
-  std::vector<ShardResult> ExecuteShards(const QuerySpec& spec);
-
-  /// Concatenates a spec's per-partition materializations (outside every
-  /// lock) and charges the merge to reconstruct cost.
-  QueryResult MergeShards(const QuerySpec& spec,
-                          std::vector<ShardResult> shards);
-
-  /// Combines a spec's per-partition ShardResults per its consumption
-  /// mode, outside every lock: scalar modes merge counts/aggregates (no
-  /// tuple data moves), ForEach walks the per-partition columns through
-  /// the visitor, Materialize defers to MergeShards. Sums the per-shard
-  /// cost attributions into the result's cost, stamps
-  /// partitions_touched/pruned from `num_partitions`, and (when `trace`
-  /// is non-null) records the merge span.
+  /// The merging half of Execute: combines a spec's per-partition
+  /// ShardResults per its consumption mode, outside every lock — scalar
+  /// modes merge counts/aggregates (no tuple data moves), GroupBy merges
+  /// partial tables, ForEach walks the per-partition columns through the
+  /// visitor, Materialize concatenates them in partition order. Sums the
+  /// per-shard cost attributions into the result's cost, charges the
+  /// merge's own time once (to the result, cost_, and the registry),
+  /// stamps partitions_touched/pruned from `num_partitions`, and (when
+  /// `trace` is non-null) records the merge span.
   ExecuteResult MergeExecute(const QuerySpec& spec, const ConsumeSpec& consume,
                              std::vector<ShardResult> shards,
                              obs::QueryTrace* trace, size_t num_partitions);
@@ -272,6 +246,8 @@ class ShardedEngine : public Engine {
   ThreadPool* pool_;
   WorkloadHistogram* histogram_ = nullptr;
   mutable std::mutex cost_mu_;
+  /// Summed per-query cost attribution; guarded by cost_mu_.
+  CostBreakdown cost_;
   mutable PendingMetrics pending_;
   /// Batch sequence for the 1-in-64 sampling of the group-latency
   /// histogram (engine_group_micros); relaxed — ordering is irrelevant.

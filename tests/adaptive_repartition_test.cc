@@ -308,7 +308,8 @@ class AdaptiveRepartitionTest : public ::testing::TestWithParam<const char*> {
   void ExpectMatches(Database* db, const QuerySpec& spec,
                      const std::string& context) {
     PlainEngine reference(*source_);
-    ASSERT_EQ(ZipRows(db->Query("R", spec)), ZipRows(reference.Run(spec)))
+    ASSERT_EQ(ZipRows(db->Execute({"R", spec})->rows),
+              ZipRows(reference.Run(spec)))
         << context;
   }
 
@@ -424,7 +425,7 @@ TEST_P(AdaptiveRepartitionTest, BackgroundTriggerRepartitions) {
   for (int i = 0; i < 50 && db.Stats("R").splits == 0; ++i) {
     (void)db.MaybeRepartition("R");
     for (int q = 0; q < 8; ++q) {
-      (void)db.Query("R", HotQuery(&rng, 1, kDomain / 4));
+      (void)db.Execute({"R", HotQuery(&rng, 1, kDomain / 4)});
     }
   }
   EXPECT_GT(db.Stats("R").splits, 0u);
@@ -458,7 +459,7 @@ TEST_P(AdaptiveRepartitionTest, DegenerateTinyDomainNeverAborts) {
     spec_q.selections = {{AttrName(1), RangePredicate::Point(1 + round % 4)}};
     spec_q.projections = {AttrName(2)};
     for (int q = 0; q < 4; ++q) {
-      ASSERT_EQ(ZipRows(db.Query("T", spec_q)),
+      ASSERT_EQ(ZipRows(db.Execute({"T", spec_q})->rows),
                 ZipRows(reference.Run(spec_q)))
           << "tiny domain round " << round;
     }
@@ -484,8 +485,8 @@ TEST_P(AdaptiveRepartitionTest, HashShardingAndDisabledAreNoOps) {
 
   Rng rng(3);
   for (int q = 0; q < 30; ++q) {
-    (void)hashed_db.Query("R", HotQuery(&rng, 1, kDomain / 4));
-    (void)static_db.Query("R", HotQuery(&rng, 1, kDomain / 4));
+    (void)hashed_db.Execute({"R", HotQuery(&rng, 1, kDomain / 4)});
+    (void)static_db.Execute({"R", HotQuery(&rng, 1, kDomain / 4)});
   }
   EXPECT_FALSE(hashed_db.MaybeRepartition("R"));
   EXPECT_FALSE(static_db.MaybeRepartition("R"));

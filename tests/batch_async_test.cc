@@ -1,4 +1,4 @@
-// Batch/async equivalence: QueryBatch, QueryAsync, and ApplyBatch must
+// Batch/async equivalence: ExecuteBatch, ExecuteAsync, and ApplyBatch must
 // return row-for-row identical results — and leave identical end states —
 // compared with the synchronous one-op-at-a-time loop. Each check runs two
 // twin databases from the same seed state, drives one through the batch
@@ -6,6 +6,7 @@
 // multiset equality: each partition sees the same sub-query sequence
 // either way, so even the crack-order-dependent row order must match).
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <set>
@@ -29,7 +30,7 @@ constexpr Value kDomain = 2'000;
 constexpr size_t kRows = 2'000;
 constexpr size_t kPartitions = 5;
 
-QuerySpec RandomQuery(Rng* rng) {
+Query RandomQuery(Rng* rng) {
   QuerySpec spec;
   if (rng->Bernoulli(0.3)) {
     spec.selections = {
@@ -39,7 +40,20 @@ QuerySpec RandomQuery(Rng* rng) {
                        {AttrName(2), bench::RandomRange(rng, 1, kDomain, 0.6)}};
   }
   spec.projections = {AttrName(3), AttrName(4)};
-  return spec;
+  return {"R", std::move(spec)};
+}
+
+/// The materialized rows of a query that must have succeeded.
+const QueryResult& Rows(const Expected<ExecuteResult>& result) {
+  EXPECT_TRUE(result.ok()) << result.error();
+  return result->rows;
+}
+
+/// A full scan of every column of R, for end-state comparisons.
+Query FullScan() {
+  QuerySpec spec;
+  spec.projections = {AttrName(1), AttrName(2), AttrName(3), AttrName(4)};
+  return {"R", std::move(spec)};
 }
 
 using bench::ZipRows;
@@ -72,31 +86,30 @@ class BatchAsyncTest : public ::testing::TestWithParam<const char*> {
   Relation* source_ = nullptr;
 };
 
-TEST_P(BatchAsyncTest, QueryBatchRowForRowEqualsSequentialLoop) {
+TEST_P(BatchAsyncTest, ExecuteBatchRowForRowEqualsExecuteLoop) {
   for (const size_t pool : {size_t{0}, size_t{2}}) {
     const std::unique_ptr<Database> batch_db = MakeDb(pool);
     const std::unique_ptr<Database> loop_db = MakeDb(pool);
     Rng rng(77);
-    std::vector<QuerySpec> specs;
-    for (int q = 0; q < 24; ++q) specs.push_back(RandomQuery(&rng));
+    std::vector<Query> queries;
+    for (int q = 0; q < 24; ++q) queries.push_back(RandomQuery(&rng));
 
-    const std::vector<QueryResult> batched = batch_db->QueryBatch("R", specs);
-    ASSERT_EQ(batched.size(), specs.size());
-    for (size_t q = 0; q < specs.size(); ++q) {
-      const QueryResult looped = loop_db->Query("R", specs[q]);
-      EXPECT_EQ(batched[q].num_rows, looped.num_rows) << "query " << q;
-      EXPECT_EQ(batched[q].columns, looped.columns)
+    const std::vector<Expected<ExecuteResult>> batched =
+        batch_db->ExecuteBatch(queries);
+    ASSERT_EQ(batched.size(), queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const Expected<ExecuteResult> looped = loop_db->Execute(queries[q]);
+      EXPECT_EQ(Rows(batched[q]).num_rows, Rows(looped).num_rows)
+          << "query " << q;
+      EXPECT_EQ(Rows(batched[q]).columns, Rows(looped).columns)
           << "row-for-row divergence at query " << q << " (pool=" << pool
           << ")";
     }
 
     // Identical end states: both crackers saw the same per-partition
     // sub-query sequence, so even a full scan must agree exactly.
-    QuerySpec full_scan;
-    full_scan.projections = {AttrName(1), AttrName(2), AttrName(3),
-                             AttrName(4)};
-    EXPECT_EQ(batch_db->Query("R", full_scan).columns,
-              loop_db->Query("R", full_scan).columns);
+    EXPECT_EQ(Rows(batch_db->Execute(FullScan())).columns,
+              Rows(loop_db->Execute(FullScan())).columns);
     const TableStats batch_stats = batch_db->Stats("R");
     const TableStats loop_stats = loop_db->Stats("R");
     EXPECT_EQ(batch_stats.queries, loop_stats.queries);
@@ -104,32 +117,59 @@ TEST_P(BatchAsyncTest, QueryBatchRowForRowEqualsSequentialLoop) {
   }
 }
 
-TEST_P(BatchAsyncTest, QueryBatchHandlesEmptyAndSingleton) {
+TEST_P(BatchAsyncTest, ExecuteBatchHandlesEmptyAndSingleton) {
   const std::unique_ptr<Database> db = MakeDb();
-  EXPECT_TRUE(db->QueryBatch("R", {}).empty());
+  EXPECT_TRUE(db->ExecuteBatch({}).empty());
 
   Rng rng(5);
-  const QuerySpec spec = RandomQuery(&rng);
+  const Query query = RandomQuery(&rng);
   const std::unique_ptr<Database> twin = MakeDb();
-  const std::vector<QueryResult> batched = db->QueryBatch("R", {&spec, 1});
+  const std::vector<Expected<ExecuteResult>> batched =
+      db->ExecuteBatch({&query, 1});
   ASSERT_EQ(batched.size(), 1u);
-  EXPECT_EQ(batched[0].columns, twin->Query("R", spec).columns);
+  EXPECT_EQ(Rows(batched[0]).columns, Rows(twin->Execute(query)).columns);
 }
 
-TEST_P(BatchAsyncTest, QueryAsyncEqualsSync) {
+TEST_P(BatchAsyncTest, ExecuteAsyncEqualsExecute) {
   for (const size_t pool : {size_t{0}, size_t{2}}) {
     const std::unique_ptr<Database> async_db = MakeDb(pool);
     const std::unique_ptr<Database> sync_db = MakeDb(pool);
     Rng rng(99);
     for (int q = 0; q < 16; ++q) {
-      const QuerySpec spec = RandomQuery(&rng);
+      const Query query = RandomQuery(&rng);
       // Awaited one at a time, the async pipeline must be deterministic:
       // same sub-query order, same rows in the same order.
-      QueryResult async_result = async_db->QueryAsync("R", spec).get();
-      EXPECT_EQ(async_result.columns, sync_db->Query("R", spec).columns)
+      const Expected<ExecuteResult> async_result =
+          async_db->ExecuteAsync(query).get();
+      EXPECT_EQ(Rows(async_result).columns,
+                Rows(sync_db->Execute(query)).columns)
           << "query " << q << " (pool=" << pool << ")";
     }
     EXPECT_EQ(async_db->Stats("R").queries, sync_db->Stats("R").queries);
+  }
+}
+
+TEST_P(BatchAsyncTest, ExecuteAsyncRejectsOnTheCallerThread) {
+  for (const size_t pool : {size_t{0}, size_t{2}}) {
+    const std::unique_ptr<Database> db = MakeDb(pool);
+    Rng rng(8);
+    Query unknown_table = RandomQuery(&rng);
+    unknown_table.table = "nope";
+    Query unknown_attr = RandomQuery(&rng);
+    unknown_attr.spec.projections = {"ghost"};
+    for (const Query& bad : {unknown_table, unknown_attr}) {
+      std::future<Expected<ExecuteResult>> future = db->ExecuteAsync(bad);
+      // Validation runs before scheduling: the error future is ready on
+      // return and nothing reached the pool or the engine.
+      ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready)
+          << bad.table << " (pool=" << pool << ")";
+      const Expected<ExecuteResult> result = future.get();
+      ASSERT_FALSE(result.ok());
+      EXPECT_NE(result.error().find("unknown"), std::string::npos)
+          << result.error();
+    }
+    EXPECT_EQ(db->Stats("R").queries, 0u);
   }
 }
 
@@ -137,16 +177,17 @@ TEST_P(BatchAsyncTest, ConcurrentAsyncWaveMatchesPlainReference) {
   const std::unique_ptr<Database> db = MakeDb(3);
   PlainEngine reference(*source_);  // read-only phase: source is immutable
   Rng rng(41);
-  std::vector<QuerySpec> specs;
-  std::vector<std::future<QueryResult>> futures;
+  std::vector<Query> queries;
+  std::vector<std::future<Expected<ExecuteResult>>> futures;
   for (int q = 0; q < 20; ++q) {
-    specs.push_back(RandomQuery(&rng));
-    futures.push_back(db->QueryAsync("R", specs.back()));
+    queries.push_back(RandomQuery(&rng));
+    futures.push_back(db->ExecuteAsync(queries.back()));
   }
   // In-flight queries interleave, so row order is scheduling-dependent —
   // but every answer must still be the exact multiset a plain scan gives.
   for (size_t q = 0; q < futures.size(); ++q) {
-    EXPECT_EQ(ZipRows(futures[q].get()), ZipRows(reference.Run(specs[q])))
+    EXPECT_EQ(ZipRows(Rows(futures[q].get())),
+              ZipRows(reference.Run(queries[q].spec)))
         << "async query " << q;
   }
 }
@@ -195,10 +236,8 @@ TEST_P(BatchAsyncTest, ApplyBatchEqualsSequentialLoop) {
   }
 
   // Identical end states, checked exactly.
-  QuerySpec full_scan;
-  full_scan.projections = {AttrName(1), AttrName(2), AttrName(3), AttrName(4)};
-  EXPECT_EQ(batch_db->Query("R", full_scan).columns,
-            loop_db->Query("R", full_scan).columns);
+  EXPECT_EQ(Rows(batch_db->Execute(FullScan())).columns,
+            Rows(loop_db->Execute(FullScan())).columns);
   const TableStats batch_stats = batch_db->Stats("R");
   const TableStats loop_stats = loop_db->Stats("R");
   EXPECT_EQ(batch_stats.rows, loop_stats.rows);
@@ -208,7 +247,7 @@ TEST_P(BatchAsyncTest, ApplyBatchEqualsSequentialLoop) {
   EXPECT_EQ(batch_stats.deletes, loop_stats.deletes);
 }
 
-TEST_P(BatchAsyncTest, ApplyBatchThenQueryBatchRoundTrip) {
+TEST_P(BatchAsyncTest, ApplyBatchKeysAreDeletableInTheNextBatch) {
   const std::unique_ptr<Database> db = MakeDb();
   // Keys from one batch are immediately deletable in the next.
   std::vector<WriteOp> inserts;

@@ -77,7 +77,8 @@ TEST_P(ConcurrencyStressTest, ConcurrentReadersMatchPlainReference) {
       PlainEngine reference(*source_);  // source is immutable in this phase
       for (int q = 0; q < 20; ++q) {
         const QuerySpec spec = RandomQuery(&rng);
-        if (ZipRows(db_->Query("R", spec)) != ZipRows(reference.Run(spec))) {
+        if (ZipRows(db_->Execute({"R", spec})->rows) !=
+            ZipRows(reference.Run(spec))) {
           failures[tid] = "thread " + std::to_string(tid) + " query " +
                           std::to_string(q) + " diverged";
           return;
@@ -108,7 +109,7 @@ TEST_P(ConcurrencyStressTest, MixedStormEqualsSerialReplay) {
         const double dice = rng.NextDouble();
         if (dice < 0.55) {
           const QuerySpec spec = RandomQuery(&rng);
-          const QueryResult result = db_->Query("R", spec);
+          const QueryResult result = db_->Execute({"R", spec})->rows;
           for (const auto& col : result.columns) {
             if (col.size() != result.num_rows) {
               failures[tid] = "ragged result in thread " + std::to_string(tid);
@@ -162,13 +163,14 @@ TEST_P(ConcurrencyStressTest, MixedStormEqualsSerialReplay) {
   PlainEngine reference(*source_);
   QuerySpec full_scan;
   full_scan.projections = {AttrName(1), AttrName(2), AttrName(3), AttrName(4)};
-  ASSERT_EQ(ZipRows(db_->Query("R", full_scan)),
+  ASSERT_EQ(ZipRows(db_->Execute({"R", full_scan})->rows),
             ZipRows(reference.Run(full_scan)));
 
   Rng rng(31);
   for (int q = 0; q < 5; ++q) {
     const QuerySpec spec = RandomQuery(&rng);
-    ASSERT_EQ(ZipRows(db_->Query("R", spec)), ZipRows(reference.Run(spec)))
+    ASSERT_EQ(ZipRows(db_->Execute({"R", spec})->rows),
+              ZipRows(reference.Run(spec)))
         << "replayed range query " << q;
   }
 
@@ -182,7 +184,7 @@ TEST_P(ConcurrencyStressTest, MixedStormEqualsSerialReplay) {
 }
 
 // The batch/async surface under the same 4-thread storm: every thread
-// pushes its traffic through QueryBatch / QueryAsync / ApplyBatch instead
+// pushes its traffic through ExecuteBatch / ExecuteAsync / ApplyBatch instead
 // of the one-op loop, and the final state must still equal a serial
 // replay of the recorded writes. Runs under TSan in CI like the rest of
 // the suite.
@@ -201,21 +203,28 @@ TEST_P(ConcurrencyStressTest, BatchedAsyncStormEqualsSerialReplay) {
       std::vector<std::pair<Key, size_t>> own_live;  // global key, slot
       for (int round = 0; round < 12; ++round) {
         // A query batch, with one extra query in flight asynchronously.
-        std::vector<QuerySpec> specs;
-        for (int q = 0; q < 3; ++q) specs.push_back(RandomQuery(&rng));
-        std::future<QueryResult> async_result =
-            db_->QueryAsync("R", RandomQuery(&rng));
-        const std::vector<QueryResult> results = db_->QueryBatch("R", specs);
-        for (const QueryResult& result : results) {
-          for (const auto& col : result.columns) {
-            if (col.size() != result.num_rows) {
+        std::vector<Query> queries;
+        for (int q = 0; q < 3; ++q) queries.push_back({"R", RandomQuery(&rng)});
+        std::future<Expected<ExecuteResult>> async_result =
+            db_->ExecuteAsync({"R", RandomQuery(&rng)});
+        for (const Expected<ExecuteResult>& result :
+             db_->ExecuteBatch(queries)) {
+          if (!result.ok()) {
+            failures[tid] = "batched query failed: " + result.error();
+            return;
+          }
+          for (const auto& col : result->rows.columns) {
+            if (col.size() != result->rows.num_rows) {
               failures[tid] = "ragged batch result in thread " +
                               std::to_string(tid);
               return;
             }
           }
         }
-        (void)async_result.get();
+        if (!async_result.get().ok()) {
+          failures[tid] = "async query failed in thread " + std::to_string(tid);
+          return;
+        }
 
         // A mixed write batch: a few inserts plus a delete of one of our
         // own earlier rows (own keys only, so serial replay stays a valid
@@ -271,13 +280,13 @@ TEST_P(ConcurrencyStressTest, BatchedAsyncStormEqualsSerialReplay) {
   PlainEngine reference(*source_);
   QuerySpec full_scan;
   full_scan.projections = {AttrName(1), AttrName(2), AttrName(3), AttrName(4)};
-  ASSERT_EQ(ZipRows(db_->Query("R", full_scan)),
+  ASSERT_EQ(ZipRows(db_->Execute({"R", full_scan})->rows),
             ZipRows(reference.Run(full_scan)));
   Rng rng(63);
   for (int q = 0; q < 5; ++q) {
-    const QuerySpec spec = RandomQuery(&rng);
-    ASSERT_EQ(ZipRows(db_->QueryBatch("R", {&spec, 1}).front()),
-              ZipRows(reference.Run(spec)))
+    const Query query{"R", RandomQuery(&rng)};
+    ASSERT_EQ(ZipRows(db_->ExecuteBatch({&query, 1}).front()->rows),
+              ZipRows(reference.Run(query.spec)))
         << "replayed batched query " << q;
   }
   EXPECT_EQ(db_->Stats("R").live_rows, source_->num_live_rows());
@@ -357,7 +366,7 @@ TEST_P(ConcurrencyStressTest, SnapshotsRunConcurrentlyWithTraffic) {
       Rng rng(500 + tid);
       for (int op = 0; op < 15; ++op) {
         if (tid % 2 == 0) {
-          (void)db_->Query("R", RandomQuery(&rng));
+          (void)db_->Execute({"R", RandomQuery(&rng)});
         } else {
           const TableStats stats = db_->Stats("R");
           // rows only grows; live_rows never exceeds it.
@@ -438,7 +447,7 @@ TEST_P(ConcurrencyStressTest, RepartitionStormEqualsSerialReplay) {
       for (int op = 0; op < 60; ++op) {
         const double dice = rng.NextDouble();
         if (dice < 0.6) {
-          const QueryResult result = db.Query("R", hot_query(&rng));
+          const QueryResult result = db.Execute({"R", hot_query(&rng)})->rows;
           for (const auto& col : result.columns) {
             if (col.size() != result.num_rows) {
               failures[tid] = "ragged result in thread " + std::to_string(tid);
@@ -494,12 +503,13 @@ TEST_P(ConcurrencyStressTest, RepartitionStormEqualsSerialReplay) {
   PlainEngine reference(mirror);
   QuerySpec full_scan;
   full_scan.projections = {AttrName(1), AttrName(2), AttrName(3), AttrName(4)};
-  ASSERT_EQ(ZipRows(db.Query("R", full_scan)),
+  ASSERT_EQ(ZipRows(db.Execute({"R", full_scan})->rows),
             ZipRows(reference.Run(full_scan)));
   Rng rng(99);
   for (int q = 0; q < 5; ++q) {
     const QuerySpec spec = RandomQuery(&rng);
-    ASSERT_EQ(ZipRows(db.Query("R", spec)), ZipRows(reference.Run(spec)))
+    ASSERT_EQ(ZipRows(db.Execute({"R", spec})->rows),
+              ZipRows(reference.Run(spec)))
         << "replayed range query " << q;
   }
   EXPECT_EQ(db.Stats("R").live_rows, mirror.num_live_rows());
@@ -511,12 +521,12 @@ TEST_P(ConcurrencyStressTest, RepartitionStormEqualsSerialReplay) {
   for (int round = 0;
        round < 40 && db.Stats("R").splits + db.Stats("R").merges == 0;
        ++round) {
-    for (int q = 0; q < 8; ++q) (void)db.Query("R", hot_query(&hot_rng));
+    for (int q = 0; q < 8; ++q) (void)db.Execute({"R", hot_query(&hot_rng)});
     (void)db.MaybeRepartition("R");
   }
   const TableStats stats = db.Stats("R");
   EXPECT_GT(stats.splits + stats.merges, 0u);
-  ASSERT_EQ(ZipRows(db.Query("R", full_scan)),
+  ASSERT_EQ(ZipRows(db.Execute({"R", full_scan})->rows),
             ZipRows(reference.Run(full_scan)));
 }
 

@@ -409,15 +409,40 @@ TEST_F(ObservabilityTest, RegistryAgreesWithTheEngineCostSnapshot) {
   // Deltas, not absolutes: the registry is process-global.
   const double base_sub = MetricValue("engine_subqueries_total");
   const double base_select = MetricValue("engine_select_micros_total");
+  const double base_reconstruct =
+      MetricValue("engine_reconstruct_micros_total");
+  const double base_merge = MetricValue("engine_merge_micros_total");
   const CostBreakdown base_cost = db->engine("R").CostSnapshot();
 
   size_t touched = 0;
+  double reconstruct = 0.0;  // summed per-query attribution
+  double merge = 0.0;        // per query: reconstruction minus its fetches
   Rng rng(77);
   for (int q = 0; q < 24; ++q) {
     const Value lo = rng.Uniform(1, kDomain - 500);
     auto r = db->From("R").Where(AttrName(1), lo, lo + 500).Count().Execute();
     ASSERT_TRUE(r.ok());
     touched += r->partitions_touched;
+    // Materialize and ForEach merge the partitions' rows on the caller
+    // thread. Traced, so the fetch spans (one per partition, each exactly
+    // that partition's reconstruct charge) split a query's reconstruction
+    // into the in-lock fetches and the merge.
+    for (const bool for_each : {false, true}) {
+      QueryBuilder builder = db->From("R")
+                                 .Where(AttrName(1), lo, lo + 500)
+                                 .Project(AttrName(2), AttrName(3))
+                                 .Trace();
+      if (for_each) builder.ForEach([](std::span<const Value>) {});
+      auto rows = builder.Execute();
+      ASSERT_TRUE(rows.ok()) << rows.error();
+      touched += rows->partitions_touched;
+      reconstruct += rows->cost.reconstruct_micros;
+      double fetches = 0.0;
+      for (const obs::TraceSpan& s : rows->trace->Spans()) {
+        if (s.name == "fetch") fetches += s.duration_micros;
+      }
+      merge += rows->cost.reconstruct_micros - fetches;
+    }
   }
   // CostSnapshot is a documented flush point: after it returns, every
   // batched registry increment from this engine has landed.
@@ -426,6 +451,16 @@ TEST_F(ObservabilityTest, RegistryAgreesWithTheEngineCostSnapshot) {
             static_cast<double>(touched));
   EXPECT_NEAR(MetricValue("engine_select_micros_total") - base_select,
               cost.select_micros - base_cost.select_micros, 0.5);
+  // The merges are timed once and charged once: registry, engine
+  // snapshot, and the per-query costs hold the very same numbers.
+  EXPECT_GT(merge, 0.0);
+  EXPECT_NEAR(MetricValue("engine_reconstruct_micros_total") -
+                  base_reconstruct,
+              reconstruct, 1e-6);
+  EXPECT_NEAR(cost.reconstruct_micros - base_cost.reconstruct_micros,
+              reconstruct, 1e-6);
+  EXPECT_NEAR(MetricValue("engine_merge_micros_total") - base_merge, merge,
+              1e-6);
 }
 
 TEST_F(ObservabilityTest, DisablingMetricsSilencesTheEpilogue) {

@@ -177,6 +177,39 @@ TEST_F(QueryApiTest, UnknownTableIsAnError) {
       << result.error();
 }
 
+// Writes and adaptive ticks on an unknown table fail soft too: no public
+// call aborts the process on a bad table name.
+
+TEST_F(QueryApiTest, InsertIntoUnknownTableReturnsInvalidKey) {
+  auto db = MakeDb("plain");
+  const Value row[] = {1, 2, 3, 4};
+  EXPECT_EQ(db->Insert("nope", row), kInvalidKey);
+  EXPECT_EQ(db->Stats("R").inserts, 0u);
+}
+
+TEST_F(QueryApiTest, DeleteFromUnknownTableReturnsFalse) {
+  auto db = MakeDb("plain");
+  EXPECT_FALSE(db->Delete("nope", Key{0}));
+  EXPECT_EQ(db->Stats("R").live_rows, kRows);
+}
+
+TEST_F(QueryApiTest, ApplyBatchOnUnknownTableFailsEveryOp) {
+  auto db = MakeDb("plain");
+  const std::vector<WriteOp> ops = {WriteOp::MakeInsert({1, 2, 3, 4}),
+                                    WriteOp::MakeDelete(Key{0})};
+  const std::vector<WriteOutcome> outcomes = db->ApplyBatch("nope", ops);
+  ASSERT_EQ(outcomes.size(), ops.size());
+  for (const WriteOutcome& outcome : outcomes) {
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.key, kInvalidKey);
+  }
+}
+
+TEST_F(QueryApiTest, MaybeRepartitionOnUnknownTableReturnsFalse) {
+  auto db = MakeDb("plain");
+  EXPECT_FALSE(db->MaybeRepartition("nope"));
+}
+
 TEST_F(QueryApiTest, UnknownAttributeIsAnError) {
   auto db = MakeDb("plain");
   // In a selection.
@@ -430,7 +463,8 @@ TEST_F(QueryApiTest, BuilderMatchesRawSpecAcrossKinds) {
                           .Project(AttrName(3), AttrName(4))
                           .Execute();
       ASSERT_TRUE(executed.ok()) << executed.error();
-      ASSERT_EQ(ZipRows(raw_db->Query("R", raw)), ZipRows(executed->rows))
+      ASSERT_EQ(ZipRows(raw_db->Execute({"R", raw})->rows),
+                ZipRows(executed->rows))
           << kind.name << " sharded diverged at query " << q;
     }
   }

@@ -33,6 +33,13 @@ constexpr size_t kRows = 3'000;
 
 using bench::ZipRows;
 
+/// Materializes `spec` through the sharded engine's one entry point (a
+/// batch of one).
+QueryResult RunSharded(ShardedEngine& sharded, const QuerySpec& spec) {
+  const ConsumeSpec materialize = ConsumeSpec::Materialize();
+  return std::move(sharded.Execute({&spec, 1}, {&materialize, 1}, {})[0].rows);
+}
+
 struct ShardParam {
   std::string kind;
   PartitionSpec::Kind partitioning;
@@ -99,7 +106,7 @@ class ShardedEngineTest : public ::testing::TestWithParam<ShardParam> {
     const auto expected = ZipRows(plain.Run(spec));
     ASSERT_EQ(ZipRows(unsharded_->Run(spec)), expected)
         << context << " (unsharded reference disagrees with plain)";
-    ASSERT_EQ(ZipRows(sharded_->Run(spec)), expected) << context;
+    ASSERT_EQ(ZipRows(RunSharded(*sharded_, spec)), expected) << context;
   }
 
   Catalog catalog_;
@@ -175,27 +182,6 @@ TEST_P(ShardedEngineTest, TracksMirroredUpdates) {
         {AttrName(3), bench::RandomRange(&rng, 1, kDomain, 0.6)}};
     spec.projections = {AttrName(2), AttrName(4)};
     ExpectSameAnswer(spec, "post-update batch " + std::to_string(batch));
-  }
-}
-
-TEST_P(ShardedEngineTest, HandleFetchAtMatchesFetch) {
-  QuerySpec spec;
-  spec.selections = {{AttrName(1), RangePredicate::Closed(1, kDomain / 2)}};
-  spec.projections = {AttrName(2), AttrName(3)};
-  std::unique_ptr<SelectionHandle> handle = sharded_->Select(spec);
-  const std::vector<Value> all = handle->Fetch(AttrName(3));
-  ASSERT_EQ(all.size(), handle->NumRows());
-
-  // Reversed ordinals: FetchAt must address the merged row space.
-  std::vector<uint32_t> ordinals;
-  ordinals.reserve(all.size());
-  for (size_t i = all.size(); i > 0; --i) {
-    ordinals.push_back(static_cast<uint32_t>(i - 1));
-  }
-  const std::vector<Value> reversed = handle->FetchAt(AttrName(3), ordinals);
-  ASSERT_EQ(reversed.size(), all.size());
-  for (size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(reversed[i], all[all.size() - 1 - i]);
   }
 }
 
@@ -284,7 +270,7 @@ TEST(PartitionerTest, MorePartitionsThanDomainValuesStaysCorrect) {
     QuerySpec spec2;
     spec2.selections = {{AttrName(1), pred}};
     spec2.projections = {AttrName(2)};
-    EXPECT_EQ(ZipRows(sharded.Run(spec2)), ZipRows(plain.Run(spec2)))
+    EXPECT_EQ(ZipRows(RunSharded(sharded, spec2)), ZipRows(plain.Run(spec2)))
         << pred.ToString();
   }
 }
@@ -356,8 +342,8 @@ TEST(ShardedPruningTest, RangeShardsPruneOrganizingSelections) {
   EXPECT_LT(sharded.TargetPartitions(disj).size(), parts.num_partitions());
 
   PlainEngine plain(source);
-  EXPECT_EQ(ZipRows(sharded.Run(narrow)), ZipRows(plain.Run(narrow)));
-  EXPECT_EQ(ZipRows(sharded.Run(disj)), ZipRows(plain.Run(disj)));
+  EXPECT_EQ(ZipRows(RunSharded(sharded, narrow)), ZipRows(plain.Run(narrow)));
+  EXPECT_EQ(ZipRows(RunSharded(sharded, disj)), ZipRows(plain.Run(disj)));
 }
 
 // The ThreadPool's own behavior (affinity routing, stealing, the nested-
