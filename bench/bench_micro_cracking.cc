@@ -11,7 +11,8 @@
 // Besides the google-benchmark cases (which report GB/s via bytes_per_second
 // and label each kernel case with the arm it ran on), the binary ends with a
 // hand-timed scalar-vs-dispatched comparison emitting machine-readable
-// `BENCH_micro_kernels {...}` JSON lines (schema: docs/BENCHMARKS.md).
+// `BENCH_micro_kernels {...}` JSON lines and a hand-timed Ripple cost sweep
+// emitting `BENCH_micro_ripple {...}` lines (schemas: docs/BENCHMARKS.md).
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -290,6 +292,46 @@ void EmitKernelComparison(bool smoke) {
   }
 }
 
+// Hand-timed Ripple cost per update on a 50k-entry store (the serve-rw
+// partition size) at 64, 1k and 8k live splits, emitting one
+// `BENCH_micro_ripple` JSON line per (op, splits). One-sided cracks place
+// exactly one split each. The inserts run first, then as many deletes at
+// random positions, so both ops see ~50k entries; every update pays one
+// walk over the splits above its target piece.
+void EmitRippleSweep(bool smoke) {
+  const size_t entries = 50'000;
+  const int ops = smoke ? 200 : 5'000;
+  for (const size_t splits : {size_t{64}, size_t{1'024}, size_t{8'192}}) {
+    CrackPairs store = MakeStore(entries, 1'000'000, 14);
+    CrackerIndex index;
+    Rng rng(15);
+    while (index.num_splits() < splits) {
+      CrackOnPredicate(store, index,
+                       {rng.Uniform(1, 1'000'000), kMaxValue, true, true});
+    }
+    Timer insert_timer;
+    for (int i = 0; i < ops; ++i) {
+      RippleInsert(store, index, rng.Uniform(1, 1'000'000), i);
+    }
+    const double insert_micros = insert_timer.ElapsedMicros();
+    Timer delete_timer;
+    for (int i = 0; i < ops; ++i) {
+      const Value last = static_cast<Value>(store.size()) - 1;
+      RippleDeleteAt(store, index, static_cast<size_t>(rng.Uniform(0, last)));
+    }
+    const double delete_micros = delete_timer.ElapsedMicros();
+    benchmark::DoNotOptimize(store.head.data());
+    const std::pair<const char*, double> results[] = {
+        {"insert", insert_micros}, {"delete", delete_micros}};
+    for (const auto& [op, micros] : results) {
+      std::printf(
+          "BENCH_micro_ripple {\"op\":\"%s\",\"entries\":%zu,"
+          "\"splits\":%zu,\"ns_per_op\":%.0f}\n",
+          op, entries, splits, micros * 1e3 / ops);
+    }
+  }
+}
+
 }  // namespace crackdb
 
 // BENCHMARK_MAIN() with a `--smoke` translation so this binary registers as
@@ -325,5 +367,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   crackdb::EmitKernelComparison(smoke);
+  crackdb::EmitRippleSweep(smoke);
   return 0;
 }

@@ -38,11 +38,6 @@ struct CrackPairs {
     tail.push_back(t);
   }
 
-  void SwapEntries(size_t i, size_t j) {
-    std::swap(head[i], head[j]);
-    std::swap(tail[i], tail[j]);
-  }
-
   void MoveEntry(size_t from, size_t to) {
     head[to] = head[from];
     tail[to] = tail[from];

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
+
+#include "cracking/crack.h"
 
 namespace crackdb {
 
 struct CrackerIndex::Node {
   Bound bound;
+  // Dead data while `deleted`: AddSplit overwrites it on revival and no
+  // lookup reads it before, so the Ripple walks leave it alone.
   size_t pos = 0;
   bool deleted = false;
   int height = 1;
@@ -97,79 +100,98 @@ const Node* Find(const Node* n, const Bound& bound) {
   return nullptr;
 }
 
+// The lookups below want the nearest *live* node. A lazily-deleted node on
+// the search path can hide it in the subtree the plain descent skips, so
+// each falls back to the nearest live node of that subtree.
+
+const Node* FirstLive(const Node* n) {
+  if (n == nullptr) return nullptr;
+  if (const Node* l = FirstLive(n->left.get())) return l;
+  return n->deleted ? FirstLive(n->right.get()) : n;
+}
+
+const Node* LastLive(const Node* n) {
+  if (n == nullptr) return nullptr;
+  if (const Node* r = LastLive(n->right.get())) return r;
+  return n->deleted ? LastLive(n->left.get()) : n;
+}
+
 /// Greatest live node with node->bound <= bound (i.e., not greater).
 const Node* FloorNode(const Node* n, const Bound& bound) {
-  const Node* best = nullptr;
-  while (n != nullptr) {
-    if (BoundLess(bound, n->bound)) {
-      n = n->left.get();
-    } else {
-      if (!n->deleted) best = n;
-      // Even at equality, continue right only when n is deleted to look
-      // for... equality is unique, so move right strictly when bound > n.
-      if (!BoundLess(n->bound, bound) && !n->deleted) break;  // exact live hit
-      n = n->right.get();
-    }
-  }
-  return best;
+  if (n == nullptr) return nullptr;
+  if (BoundLess(bound, n->bound)) return FloorNode(n->left.get(), bound);
+  if (const Node* r = FloorNode(n->right.get(), bound)) return r;
+  return n->deleted ? LastLive(n->left.get()) : n;
 }
 
 /// Smallest live node with bound < node->bound (strictly greater).
 const Node* CeilAboveNode(const Node* n, const Bound& bound) {
-  const Node* best = nullptr;
-  while (n != nullptr) {
-    if (BoundLess(bound, n->bound)) {
-      if (!n->deleted) best = n;
-      n = n->left.get();
-    } else {
-      n = n->right.get();
-    }
-  }
-  return best;
+  if (n == nullptr) return nullptr;
+  if (!BoundLess(bound, n->bound)) return CeilAboveNode(n->right.get(), bound);
+  if (const Node* l = CeilAboveNode(n->left.get(), bound)) return l;
+  return n->deleted ? FirstLive(n->right.get()) : n;
 }
 
-/// Smallest live node with bound <= node->bound.
-const Node* CeilNode(const Node* n, const Bound& bound) {
-  const Node* best = nullptr;
-  while (n != nullptr) {
-    if (BoundLess(n->bound, bound)) {
-      n = n->right.get();
-    } else {
-      if (!n->deleted) best = n;
-      if (!BoundLess(bound, n->bound) && !n->deleted) break;  // exact live hit
-      n = n->left.get();
-    }
-  }
-  return best;
-}
-
-void InOrder(const Node* n, const std::function<void(const Node*)>& fn) {
+template <typename NodeT, typename Fn>
+void InOrder(NodeT* n, Fn& fn) {
   if (n == nullptr) return;
-  InOrder(n->left.get(), fn);
+  InOrder<NodeT>(n->left.get(), fn);
   fn(n);
-  InOrder(n->right.get(), fn);
+  InOrder<NodeT>(n->right.get(), fn);
 }
 
-void ShiftRec(Node* n, size_t from_pos, ptrdiff_t delta) {
+template <typename Fn>
+void ReverseInOrder(Node* n, Fn& fn) {
   if (n == nullptr) return;
-  ShiftRec(n->left.get(), from_pos, delta);
-  if (n->pos >= from_pos) {
-    n->pos = static_cast<size_t>(static_cast<ptrdiff_t>(n->pos) + delta);
-  }
-  ShiftRec(n->right.get(), from_pos, delta);
+  ReverseInOrder(n->right.get(), fn);
+  fn(n);
+  ReverseInOrder(n->left.get(), fn);
 }
 
-void ShiftAfterBoundRec(Node* n, const Bound& threshold, ptrdiff_t delta) {
+/// Nodes strictly above `cut`, in ascending cut order. A node at or below
+/// the cut prunes its left subtree and one above it brings its whole right
+/// subtree, so the walk costs O(height + nodes visited).
+template <typename Fn>
+void AscendAbove(Node* n, const Bound& cut, Fn& fn) {
+  while (n != nullptr && !BoundLess(cut, n->bound)) n = n->right.get();
   if (n == nullptr) return;
-  if (BoundLess(threshold, n->bound)) {
-    // This node and its whole right subtree are above the threshold; the
-    // left subtree may straddle it.
-    n->pos = static_cast<size_t>(static_cast<ptrdiff_t>(n->pos) + delta);
-    ShiftRec(n->right.get(), 0, delta);
-    ShiftAfterBoundRec(n->left.get(), threshold, delta);
-  } else {
-    ShiftAfterBoundRec(n->right.get(), threshold, delta);
+  AscendAbove(n->left.get(), cut, fn);
+  fn(n);
+  InOrder<Node>(n->right.get(), fn);
+}
+
+/// The nodes of AscendAbove, in descending cut order.
+template <typename Fn>
+void DescendAbove(Node* n, const Bound& cut, Fn& fn) {
+  while (n != nullptr) {
+    if (BoundLess(cut, n->bound)) {
+      ReverseInOrder(n->right.get(), fn);
+      fn(n);
+      n = n->left.get();
+    } else {
+      n = n->right.get();
+    }
   }
+}
+
+/// Calls `fn` on every piece in value order; deleted splits are invisible.
+template <typename Fn>
+void ForEachPiece(const Node* root, size_t store_size, Fn fn) {
+  CrackerIndex::Piece current;
+  auto visit = [&](const Node* n) {
+    if (n->deleted) return;
+    current.end = n->pos;
+    current.upper = n->bound;
+    current.has_upper = true;
+    fn(current);
+    current = CrackerIndex::Piece{};
+    current.begin = n->pos;
+    current.lower = n->bound;
+    current.has_lower = true;
+  };
+  InOrder<const Node>(root, visit);
+  current.end = store_size;
+  fn(current);
 }
 
 void MarkDeletedRec(Node* n) {
@@ -197,12 +219,6 @@ CrackerIndex::~CrackerIndex() {
 
 CrackerIndex::CrackerIndex(CrackerIndex&&) noexcept = default;
 CrackerIndex& CrackerIndex::operator=(CrackerIndex&&) noexcept = default;
-
-void CrackerIndex::Clear() {
-  root_.reset();
-  num_live_ = 0;
-  num_nodes_ = 0;
-}
 
 void CrackerIndex::AddSplit(const Bound& bound, size_t pos) {
   bool revived = false;
@@ -254,7 +270,8 @@ PositionRange CrackerIndex::FindArea(const RangePredicate& pred,
   size_t end = store_size;
   if (pred.high != kMaxValue) {
     const Bound b{pred.high, !pred.high_inclusive};
-    const Node* hi = CeilNode(root_.get(), b);
+    const Node* hi = Find(root_.get(), b);
+    if (hi == nullptr || hi->deleted) hi = CeilAboveNode(root_.get(), b);
     if (hi != nullptr) end = hi->pos;
   }
   if (begin > end) begin = end;
@@ -264,22 +281,9 @@ PositionRange CrackerIndex::FindArea(const RangePredicate& pred,
 std::vector<CrackerIndex::Piece> CrackerIndex::Pieces(
     size_t store_size) const {
   std::vector<Piece> pieces;
-  Piece current;
-  current.begin = 0;
-  InOrder(root_.get(), [&](const Node* n) {
-    if (n->deleted) return;
-    current.end = n->pos;
-    current.upper = n->bound;
-    current.has_upper = true;
-    pieces.push_back(current);
-    current = Piece{};
-    current.begin = n->pos;
-    current.lower = n->bound;
-    current.has_lower = true;
-  });
-  current.end = store_size;
-  current.has_upper = false;
-  pieces.push_back(current);
+  pieces.reserve(num_live_ + 1);
+  ForEachPiece(root_.get(), store_size,
+               [&](const Piece& p) { pieces.push_back(p); });
   return pieces;
 }
 
@@ -299,12 +303,12 @@ CrackerIndex::Estimate CrackerIndex::EstimateMatches(
     return !BoundLess(b, a);
   };
 
-  for (const Piece& p : Pieces(store_size)) {
-    if (p.begin >= p.end) continue;
+  ForEachPiece(root_.get(), store_size, [&](const Piece& p) {
+    if (p.begin >= p.end) return;
     // Disjoint: piece entirely below pred (upper cut <= pred lower cut) or
     // entirely above (pred upper cut <= piece lower cut).
-    if (!lo_unbounded && p.has_upper && cut_leq(p.upper, pred_lo)) continue;
-    if (!hi_unbounded && p.has_lower && cut_leq(pred_hi, p.lower)) continue;
+    if (!lo_unbounded && p.has_upper && cut_leq(p.upper, pred_lo)) return;
+    if (!hi_unbounded && p.has_lower && cut_leq(pred_hi, p.lower)) return;
     const size_t sz = p.end - p.begin;
     est.upper_bound += sz;
 
@@ -315,7 +319,7 @@ CrackerIndex::Estimate CrackerIndex::EstimateMatches(
     if (low_inside && high_inside) {
       est.lower_bound += sz;
       est.interpolated += static_cast<double>(sz);
-      continue;
+      return;
     }
     // Boundary piece: interpolate the matching fraction assuming uniform
     // values within the piece's known value interval (Section 3.3 suggests
@@ -330,24 +334,46 @@ CrackerIndex::Estimate CrackerIndex::EstimateMatches(
     const double frac =
         width > 0 ? std::clamp((sel_hi - sel_lo) / width, 0.0, 1.0) : 0.5;
     est.interpolated += frac * static_cast<double>(sz);
-  }
+  });
   return est;
 }
 
-void CrackerIndex::ShiftPositions(size_t from_pos, ptrdiff_t delta) {
-  ShiftRec(root_.get(), from_pos, delta);
+size_t CrackerIndex::RippleUp(CrackPairs& store, const Bound& cut) {
+  // The hole sits at the end of each visited piece: a non-empty piece
+  // hands it its first entry, an empty one leaves it in place.
+  size_t hole = store.size() - 1;
+  auto step = [&](Node* n) {
+    if (n->deleted) return;
+    if (n->pos < hole) store.MoveEntry(n->pos, hole);
+    hole = n->pos++;
+  };
+  DescendAbove(root_.get(), cut, step);
+  return hole;
 }
 
-void CrackerIndex::ShiftPositionsAfterBound(const Bound& threshold,
-                                            ptrdiff_t delta) {
-  ShiftAfterBoundRec(root_.get(), threshold, delta);
+size_t CrackerIndex::RippleDown(CrackPairs& store, const Bound& cut,
+                                size_t hole) {
+  // The hole sits just below each piece being closed (inside the first):
+  // a non-empty piece hands it its last entry, an empty one leaves it.
+  auto close_piece = [&](size_t end) {
+    if (end - 1 > hole) store.MoveEntry(end - 1, hole);
+    hole = end - 1;
+  };
+  auto step = [&](Node* n) {
+    if (!n->deleted) close_piece(n->pos--);
+  };
+  AscendAbove(root_.get(), cut, step);
+  close_piece(store.size());
+  return hole;
 }
 
 std::vector<std::pair<Bound, size_t>> CrackerIndex::LiveSplits() const {
   std::vector<std::pair<Bound, size_t>> splits;
-  InOrder(root_.get(), [&](const Node* n) {
+  splits.reserve(num_live_);
+  auto visit = [&](const Node* n) {
     if (!n->deleted) splits.emplace_back(n->bound, n->pos);
-  });
+  };
+  InOrder<const Node>(root_.get(), visit);
   return splits;
 }
 

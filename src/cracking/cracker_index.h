@@ -10,6 +10,8 @@
 
 namespace crackdb {
 
+struct CrackPairs;
+
 /// Comparison over split bounds. A bound `b` names the *threshold of an
 /// upper piece*: entries at and beyond the split position satisfy
 /// `v >= b.value` when `b.inclusive`, else `v > b.value`. Consequently
@@ -65,7 +67,6 @@ class CrackerIndex {
   CrackerIndex(const CrackerIndex&) = delete;
   CrackerIndex& operator=(const CrackerIndex&) = delete;
 
-  void Clear();
   bool empty() const { return num_live_ == 0; }
 
   /// Number of live (non-lazily-deleted) splits.
@@ -96,17 +97,25 @@ class CrackerIndex {
   /// boundary-piece interpolation refinement).
   Estimate EstimateMatches(const RangePredicate& pred, size_t store_size) const;
 
-  /// Shifts the position of every live split with position >= `from_pos`
-  /// by `delta`; used by the Ripple update algorithm when pieces grow or
-  /// shrink.
-  void ShiftPositions(size_t from_pos, ptrdiff_t delta);
+  /// Ripple walks (paper [8]; src/updates/ripple.h builds insert and
+  /// delete from them). Each visits only the live splits strictly above
+  /// `cut`, moving one entry per non-empty piece and shifting each split by
+  /// one position in the same pass: O(log n + splits above `cut`), no
+  /// allocation.
+  ///
+  /// RippleUp: the last position of `store` is a hole. From the top down,
+  /// every non-empty piece above `cut` moves its first entry into the hole
+  /// at its end, which then becomes the hole, and every split above `cut`
+  /// shifts by +1. Returns the final hole: the end of the piece holding
+  /// `cut`.
+  size_t RippleUp(CrackPairs& store, const Bound& cut);
 
-  /// Shifts every split whose bound is strictly greater (in cut order)
-  /// than `threshold` by `delta`. RippleInsert uses this instead of a
-  /// position-based shift: splits of empty pieces can share the insertion
-  /// position while their bounds lie at or below the inserted value, and
-  /// those must not move.
-  void ShiftPositionsAfterBound(const Bound& threshold, ptrdiff_t delta);
+  /// RippleDown: `hole` lies in the piece holding `cut`. From the bottom
+  /// up, that piece and every non-empty piece above it move their last
+  /// entry into the hole, which moves to that entry's old position, and
+  /// every split above `cut` shifts by -1. Returns the final hole:
+  /// `store.size() - 1`.
+  size_t RippleDown(CrackPairs& store, const Bound& cut, size_t hole);
 
   /// All live splits in cut order as (bound, position) pairs. Chunk
   /// creation clones an area's index through this so that replayed cracks

@@ -18,23 +18,18 @@ void PendingQueue::Pull() {
 
 std::vector<PendingUpdate> PendingQueue::ExtractMatching(
     const RangePredicate& pred) {
+  // Stable in-place partition: kept updates compact to the front in order,
+  // so only the extracted ones allocate.
   std::vector<PendingUpdate> extracted;
-  std::vector<PendingUpdate> kept;
-  kept.reserve(pending_.size());
+  size_t kept = 0;
   for (const PendingUpdate& u : pending_) {
     if (pred.Matches(u.head_value)) {
       extracted.push_back(u);
     } else {
-      kept.push_back(u);
+      pending_[kept++] = u;
     }
   }
-  pending_ = std::move(kept);
-  return extracted;
-}
-
-std::vector<PendingUpdate> PendingQueue::ExtractAll() {
-  std::vector<PendingUpdate> extracted = std::move(pending_);
-  pending_.clear();
+  pending_.resize(kept);
   return extracted;
 }
 

@@ -38,11 +38,7 @@ class PendingQueue {
   /// replay order consistent.) Call Pull() first.
   std::vector<PendingUpdate> ExtractMatching(const RangePredicate& pred);
 
-  /// Removes and returns everything pending.
-  std::vector<PendingUpdate> ExtractAll();
-
   size_t pending_count() const { return pending_.size(); }
-  size_t watermark() const { return watermark_; }
 
  private:
   const Relation* relation_;

@@ -1,63 +1,28 @@
 #include "updates/ripple.h"
 
 #include <cassert>
-#include <vector>
 
 namespace crackdb {
 
 void RippleInsert(CrackPairs& store, CrackerIndex& index, Value head_value,
                   Value tail_value) {
   assert(!store.head_dropped);
-  const size_t old_size = store.size();
-  const CrackerIndex::Piece target =
-      index.FindPiece(Bound{head_value, true}, old_size);
-  store.PushBack(0, 0);  // hole at position old_size
-  size_t hole = old_size;
-  // Walk the pieces after the target from the back; each donates its first
-  // entry to the hole at its end, effectively shifting by one.
-  const std::vector<CrackerIndex::Piece> pieces = index.Pieces(old_size);
-  for (auto it = pieces.rbegin(); it != pieces.rend(); ++it) {
-    if (it->begin < target.end) break;  // reached the target piece
-    if (it->begin == it->end) continue;  // empty piece: hole passes through
-    store.MoveEntry(it->begin, hole);
-    hole = it->begin;
-  }
-  assert(hole == target.end);
+  store.PushBack(0, 0);  // the hole
+  // Bound-based walk: splits of empty pieces can sit at the insertion
+  // position with bounds the new value satisfies; only splits strictly
+  // above the value move.
+  const size_t hole = index.RippleUp(store, Bound{head_value, true});
   store.SetEntry(hole, head_value, tail_value);
-  // Bound-based shift: splits of empty pieces can sit at `target.end` with
-  // bounds the new value satisfies; only splits strictly above the value
-  // move.
-  index.ShiftPositionsAfterBound(Bound{head_value, true}, +1);
 }
 
 void RippleDeleteAt(CrackPairs& store, CrackerIndex& index, size_t pos) {
   assert(!store.head_dropped);
-  const size_t old_size = store.size();
-  assert(pos < old_size);
-  const std::vector<CrackerIndex::Piece> pieces = index.Pieces(old_size);
-  // Find the piece containing pos.
-  size_t target_idx = pieces.size();
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (pos >= pieces[i].begin && pos < pieces[i].end) {
-      target_idx = i;
-      break;
-    }
-  }
-  assert(target_idx < pieces.size());
-  const CrackerIndex::Piece& target = pieces[target_idx];
-  // Fill the hole with the target piece's last entry, then let every later
-  // piece donate its last entry to the hole at its (new) start.
-  store.MoveEntry(target.end - 1, pos);
-  size_t hole = target.end - 1;
-  for (size_t i = target_idx + 1; i < pieces.size(); ++i) {
-    const CrackerIndex::Piece& p = pieces[i];
-    if (p.begin == p.end) continue;
-    store.MoveEntry(p.end - 1, hole);
-    hole = p.end - 1;
-  }
-  assert(hole == old_size - 1);
+  assert(pos < store.size());
+  // The entry's value names its piece: the one FindEntry searched.
+  [[maybe_unused]] const size_t hole =
+      index.RippleDown(store, Bound{store.head[pos], true}, pos);
+  assert(hole == store.size() - 1);
   store.PopBack();
-  index.ShiftPositions(target.end, -1);
 }
 
 std::optional<size_t> FindEntry(const CrackPairs& store,

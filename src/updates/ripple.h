@@ -19,7 +19,10 @@ namespace crackdb {
 ///
 /// Both operations are deterministic functions of (store, index, operands),
 /// so they can be logged in cracker tapes and replayed on every map of a
-/// set in the same order (paper Section 3.5).
+/// set in the same order (paper Section 3.5). Each costs
+/// O(log n + splits above the target piece): one pruned walk of the cracker
+/// index (CrackerIndex::RippleUp / RippleDown) moves the entries and shifts
+/// the splits together.
 
 /// Inserts (head_value, tail_value) into its value-correct piece.
 /// Positions of all pieces after the target shift by +1 (reflected in the

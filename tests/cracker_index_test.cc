@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "common/rng.h"
+#include "cracking/crack.h"
 
 namespace crackdb {
 namespace {
@@ -108,15 +110,68 @@ TEST(CrackerIndexTest, FindAreaCoversPredicate) {
   EXPECT_EQ(wide.end, 100u);
 }
 
-TEST(CrackerIndexTest, ShiftPositions) {
+/// Store heads {1, 2 | 12, 13 | (15) | 17 | 25}: the piece for exactly 15
+/// is empty, so splits (15, inclusive) and (15, exclusive) share position 4.
+void MakeRippleFixture(CrackPairs* store, CrackerIndex* index) {
+  for (Value v : {1, 2, 12, 13, 17, 25}) store->PushBack(v, v * 10);
+  index->AddSplit(Bound{10, true}, 2);
+  index->AddSplit(Bound{15, true}, 4);
+  index->AddSplit(Bound{15, false}, 4);
+  index->AddSplit(Bound{20, true}, 5);
+}
+
+TEST(CrackerIndexTest, RippleUpMovesOnlyPiecesAboveTheCut) {
+  CrackPairs store;
   CrackerIndex index;
-  index.AddSplit(Bound{10, true}, 30);
-  index.AddSplit(Bound{20, true}, 60);
-  index.ShiftPositions(60, +2);
-  EXPECT_EQ(index.FindSplit(Bound{10, true}).value(), 30u);
-  EXPECT_EQ(index.FindSplit(Bound{20, true}).value(), 62u);
-  index.ShiftPositions(0, -1);
-  EXPECT_EQ(index.FindSplit(Bound{10, true}).value(), 29u);
+  MakeRippleFixture(&store, &index);
+  store.PushBack(0, 0);  // the hole
+  // Inserting 15: the empty piece's lower split (15, inclusive) stays, the
+  // two non-empty pieces above donate their first entries.
+  const size_t hole = index.RippleUp(store, Bound{15, true});
+  EXPECT_EQ(hole, 4u);
+  store.SetEntry(hole, 15, 150);
+  EXPECT_EQ(store.head, (std::vector<Value>{1, 2, 12, 13, 15, 17, 25}));
+  EXPECT_EQ(store.tail, (std::vector<Value>{10, 20, 120, 130, 150, 170, 250}));
+  EXPECT_EQ(index.FindSplit(Bound{10, true}).value(), 2u);
+  EXPECT_EQ(index.FindSplit(Bound{15, true}).value(), 4u);
+  EXPECT_EQ(index.FindSplit(Bound{15, false}).value(), 5u);
+  EXPECT_EQ(index.FindSplit(Bound{20, true}).value(), 6u);
+}
+
+TEST(CrackerIndexTest, RippleDownClosesTheHoleUpward) {
+  CrackPairs store;
+  CrackerIndex index;
+  MakeRippleFixture(&store, &index);
+  // Deleting the 2 at position 1: every piece from its own upward gives
+  // its last entry, and every split above (2, inclusive) shifts down.
+  EXPECT_EQ(index.RippleDown(store, Bound{2, true}, 1), 5u);
+  store.PopBack();
+  EXPECT_EQ(store.head, (std::vector<Value>{1, 13, 12, 17, 25}));
+  EXPECT_EQ(index.FindSplit(Bound{10, true}).value(), 1u);
+  EXPECT_EQ(index.FindSplit(Bound{15, true}).value(), 3u);
+  EXPECT_EQ(index.FindSplit(Bound{15, false}).value(), 3u);
+  EXPECT_EQ(index.FindSplit(Bound{20, true}).value(), 4u);
+}
+
+TEST(CrackerIndexTest, RippleWalksSkipDeletedSplitsAndRevivalResetsThem) {
+  CrackPairs store;
+  CrackerIndex index;
+  MakeRippleFixture(&store, &index);
+  index.MarkAllDeleted();
+  // With every split deleted the store is one piece: nothing moves.
+  store.PushBack(0, 0);
+  EXPECT_EQ(index.RippleUp(store, Bound{3, true}), 6u);
+  store.SetEntry(6, 3, 30);
+  EXPECT_EQ(index.RippleDown(store, Bound{2, true}, 1), 6u);
+  store.PopBack();
+  EXPECT_EQ(store.head, (std::vector<Value>{1, 3, 12, 13, 17, 25}));
+  // Revival takes the caller's position; the walks then move it.
+  index.AddSplit(Bound{15, true}, 4);
+  EXPECT_EQ(index.num_nodes(), 4u);
+  store.PushBack(0, 0);
+  EXPECT_EQ(index.RippleUp(store, Bound{5, true}), 4u);
+  EXPECT_EQ(index.FindSplit(Bound{15, true}).value(), 5u);
+  EXPECT_FALSE(index.FindSplit(Bound{20, true}).has_value());
 }
 
 TEST(CrackerIndexTest, LazyDeletionAndRevival) {
@@ -136,6 +191,27 @@ TEST(CrackerIndexTest, LazyDeletionAndRevival) {
   EXPECT_EQ(index.num_nodes(), 2u);
   EXPECT_EQ(index.num_splits(), 1u);
   EXPECT_EQ(index.FindSplit(Bound{10, true}).value(), 35u);
+}
+
+TEST(CrackerIndexTest, LookupsSeeLiveSplitsUnderDeletedNodes) {
+  CrackerIndex index;
+  index.AddSplit(Bound{10, true}, 30);
+  index.AddSplit(Bound{20, true}, 60);  // the AVL root
+  index.AddSplit(Bound{30, true}, 80);
+  index.MarkAllDeleted();
+  index.AddSplit(Bound{10, true}, 30);
+  index.AddSplit(Bound{30, true}, 80);
+  // The deleted root sits between the two live splits on either descent.
+  const auto above = index.FindPiece(Bound{25, true}, 100);
+  EXPECT_EQ(above.begin, 30u);
+  EXPECT_EQ(above.end, 80u);
+  const auto below = index.FindPiece(Bound{15, true}, 100);
+  EXPECT_EQ(below.begin, 30u);
+  EXPECT_EQ(below.end, 80u);
+  const PositionRange area =
+      index.FindArea(RangePredicate::Closed(12, 18), 100);
+  EXPECT_EQ(area.begin, 30u);
+  EXPECT_EQ(area.end, 80u);
 }
 
 TEST(CrackerIndexTest, LiveSplitsAndClone) {

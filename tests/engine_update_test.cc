@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "bench_util/workload.h"
 #include "common/rng.h"
@@ -9,6 +10,7 @@
 #include "engine/selection_cracking_engine.h"
 #include "engine/sideways_engine.h"
 #include "storage/catalog.h"
+#include "updates/pending.h"
 
 namespace crackdb {
 namespace {
@@ -123,6 +125,77 @@ TEST(EngineUpdateTest, InsertVisibleToLateCreatedMap) {
   QuerySpec spec_c = spec_b;
   spec_c.projections = {AttrName(3)};
   ASSERT_EQ(ZipRows(sideways.Run(spec_c)), ZipRows(reference.Run(spec_c)));
+}
+
+TEST(PendingQueueTest, ExtractMatchingKeepsArrivalOrderOnBothSides) {
+  Catalog catalog;
+  Rng data_rng(90);
+  Relation& rel = bench::CreateUniformRelation(&catalog, "R", 2, 100, 100,
+                                               &data_rng);
+  PendingQueue queue(rel, 0);
+  const Value heads[] = {10, 500, 20, 600, 30};
+  std::vector<Key> keys;
+  for (Value h : heads) {
+    const Value row[] = {h, h + 1};
+    keys.push_back(rel.AppendRow(row));
+  }
+  rel.DeleteRow(keys[1]);
+  queue.Pull();
+  ASSERT_EQ(queue.pending_count(), 6u);
+
+  // Nothing matches: nothing moves.
+  EXPECT_TRUE(
+      queue.ExtractMatching(RangePredicate::Closed(1000, 2000)).empty());
+  EXPECT_EQ(queue.pending_count(), 6u);
+
+  // The insert and later delete of the 500 row leave together, in order.
+  const auto hot = queue.ExtractMatching(RangePredicate::Closed(400, 700));
+  ASSERT_EQ(hot.size(), 3u);
+  EXPECT_EQ(hot[0].key, keys[1]);
+  EXPECT_EQ(hot[0].kind, UpdateEvent::Kind::kInsert);
+  EXPECT_EQ(hot[1].key, keys[3]);
+  EXPECT_EQ(hot[2].key, keys[1]);
+  EXPECT_EQ(hot[2].kind, UpdateEvent::Kind::kDelete);
+
+  const auto rest = queue.ExtractMatching(RangePredicate{});
+  ASSERT_EQ(rest.size(), 3u);
+  EXPECT_EQ(rest[0].head_value, 10);
+  EXPECT_EQ(rest[1].head_value, 20);
+  EXPECT_EQ(rest[2].head_value, 30);
+  EXPECT_EQ(queue.pending_count(), 0u);
+}
+
+TEST(EngineUpdateTest, UpdatesOutsideEveryQueryStayPendingThenMerge) {
+  Catalog catalog;
+  Rng data_rng(91);
+  const Value domain = 1000;
+  Relation& rel = bench::CreateUniformRelation(&catalog, "R", 3, 2000,
+                                               domain, &data_rng);
+  PlainEngine reference(rel);
+  SelectionCrackingEngine cracking(rel);
+  SidewaysEngine sideways(rel);
+  Rng rng(92);
+  QuerySpec cold;
+  cold.projections = {AttrName(2), AttrName(3)};
+  for (int round = 0; round < 20; ++round) {
+    // Writes land above the domain every query reads.
+    for (int i = 0; i < 10; ++i) {
+      const Value row[] = {domain + rng.Uniform(1, 500), rng.Uniform(1, 9),
+                           rng.Uniform(1, 9)};
+      rel.AppendRow(row);
+    }
+    cold.selections = {
+        {AttrName(1), bench::RandomRange(&rng, 1, domain, 0.2)}};
+    const auto expected = ZipRows(reference.Run(cold));
+    ASSERT_EQ(ZipRows(cracking.Run(cold)), expected) << "round " << round;
+    ASSERT_EQ(ZipRows(sideways.Run(cold)), expected) << "round " << round;
+  }
+  const RangePredicate upper_half = RangePredicate::Closed(domain / 2, 2000);
+  QuerySpec hot = cold;
+  hot.selections = {{AttrName(1), upper_half}};
+  const auto expected = ZipRows(reference.Run(hot));
+  EXPECT_EQ(ZipRows(cracking.Run(hot)), expected);
+  EXPECT_EQ(ZipRows(sideways.Run(hot)), expected);
 }
 
 }  // namespace
