@@ -1,4 +1,4 @@
 #include "common/timer.h"
 
-// Timer and CostAccumulator are header-only; this translation unit exists so
-// the build exposes a stable object for the module.
+// Timer is header-only; this translation unit exists so the build exposes a
+// stable object for the module.

@@ -27,36 +27,6 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates time across disjoint intervals; engines use one per cost
-/// component (selection vs tuple reconstruction) to reproduce the paper's
-/// cost-breakdown tables.
-class CostAccumulator {
- public:
-  void Add(double micros) { total_micros_ += micros; }
-  void Reset() { total_micros_ = 0; }
-  double TotalMicros() const { return total_micros_; }
-  double TotalMillis() const { return total_micros_ / 1000.0; }
-
- private:
-  double total_micros_ = 0;
-};
-
-/// RAII helper adding a scope's duration into a CostAccumulator.
-class ScopedCost {
- public:
-  explicit ScopedCost(CostAccumulator* acc) : acc_(acc) {}
-  ~ScopedCost() {
-    if (acc_ != nullptr) acc_->Add(timer_.ElapsedMicros());
-  }
-
-  ScopedCost(const ScopedCost&) = delete;
-  ScopedCost& operator=(const ScopedCost&) = delete;
-
- private:
-  CostAccumulator* acc_;
-  Timer timer_;
-};
-
 }  // namespace crackdb
 
 #endif  // CRACKDB_COMMON_TIMER_H_

@@ -6,48 +6,12 @@
 
 namespace crackdb {
 
-void ReplayOnKeyStore(CrackPairs& store, CrackerIndex& index,
-                      const TapeEntry& entry) {
-  switch (entry.kind) {
-    case TapeEntry::Kind::kCrack:
-      CrackOnPredicate(store, index, entry.pred);
-      break;
-    case TapeEntry::Kind::kCrackBound: {
-      if (!index.FindSplit(entry.bound).has_value()) {
-        const CrackerIndex::Piece piece =
-            index.FindPiece(entry.bound, store.size());
-        const size_t split =
-            CrackInTwo(store, piece.begin, piece.end, entry.bound);
-        index.AddSplit(entry.bound, split);
-      }
-      break;
-    }
-    case TapeEntry::Kind::kInsert:
-      RippleInsert(store, index, entry.head_value,
-                   static_cast<Value>(entry.key));
-      break;
-    case TapeEntry::Kind::kDelete:
-      RippleDeleteAt(store, index, entry.pos);
-      break;
-    case TapeEntry::Kind::kSort:
-      SortPiece(store, index, entry.piece_lower);
-      break;
-  }
-}
-
 ChunkMap::ChunkMap(const Relation& relation, const std::string& head_attr)
     : relation_(&relation),
       head_attr_(head_attr),
       pending_(relation, relation.ColumnOrdinal(head_attr)) {
-  const Column& head = relation.column(head_attr);
   ChunkMapArea area;
-  area.start = std::nullopt;
-  area.store.Reserve(relation.num_live_rows());
-  const size_t n = head.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (relation.IsDeleted(static_cast<Key>(i))) continue;
-    area.store.PushBack(head[i], static_cast<Value>(i));
-  }
+  area.store = LivePairs(relation, head_attr);
   areas_.emplace(std::nullopt, std::move(area));
 }
 
@@ -66,10 +30,8 @@ ChunkMapArea* ChunkMap::AreaByStart(const AreaStart& start) {
 }
 
 void ChunkMap::AlignArea(ChunkMapArea& area) {
-  while (area.h_cursor < area.tape.size()) {
-    ReplayOnKeyStore(area.store, area.index, area.tape.at(area.h_cursor));
-    ++area.h_cursor;
-  }
+  area.h_cursor = Replay(area.tape, area.h_cursor, area.tape.size(),
+                         area.store, area.index, /*tail=*/nullptr);
 }
 
 void ChunkMap::FetchArea(ChunkMapArea& area) {
@@ -96,13 +58,7 @@ void ChunkMap::ApplyUpdate(const PendingUpdate& update) {
   ChunkMapArea& area = AreaContaining(update.head_value);
   if (!area.fetched) {
     // No chunks derive from this area: apply physically, no logging.
-    if (update.kind == UpdateEvent::Kind::kInsert) {
-      RippleInsert(area.store, area.index, update.head_value,
-                   static_cast<Value>(update.key));
-    } else if (auto pos = FindEntry(area.store, area.index, update.head_value,
-                                    static_cast<Value>(update.key))) {
-      RippleDeleteAt(area.store, area.index, *pos);
-    }
+    MergeUpdate(area.store, area.index, update);
     return;
   }
   // Fetched: updates go through the area tape so every chunk replays them
@@ -132,15 +88,7 @@ void ChunkMap::PullUpdates(const RangePredicate& pred) {
 void ChunkMap::SplitAreaAt(ChunkMapArea& area, const Bound& bound) {
   assert(!area.fetched);
   assert(area.tape.empty());
-  // Locate (or create) the split inside the area.
-  size_t split;
-  if (std::optional<size_t> pos = area.index.FindSplit(bound)) {
-    split = *pos;
-  } else {
-    const CrackerIndex::Piece piece =
-        area.index.FindPiece(bound, area.store.size());
-    split = CrackInTwo(area.store, piece.begin, piece.end, bound);
-  }
+  const size_t split = EnsureSplit(area.store, area.index, bound).first;
   // Carve off the upper part into a new area starting at `bound`.
   ChunkMapArea upper;
   upper.start = bound;
@@ -229,13 +177,6 @@ std::vector<const ChunkMapArea*> ChunkMap::Areas() const {
   std::vector<const ChunkMapArea*> out;
   out.reserve(areas_.size());
   for (const auto& [start, area] : areas_) out.push_back(&area);
-  return out;
-}
-
-std::vector<ChunkMapArea*> ChunkMap::MutableAreas() {
-  std::vector<ChunkMapArea*> out;
-  out.reserve(areas_.size());
-  for (auto& [start, area] : areas_) out.push_back(&area);
   return out;
 }
 

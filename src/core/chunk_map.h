@@ -108,7 +108,6 @@ class ChunkMap {
 
   /// All areas in value order (tests, storage reports).
   std::vector<const ChunkMapArea*> Areas() const;
-  std::vector<ChunkMapArea*> MutableAreas();
 
   /// Self-organizing histogram over the area directory plus interior
   /// splits.
@@ -132,12 +131,6 @@ class ChunkMap {
   std::map<AreaStart, ChunkMapArea, AreaStartLess> areas_;
   PendingQueue pending_;
 };
-
-/// Replays one tape entry onto a key-tailed store (H_A areas and scratch
-/// head-recovery replicas): tail values for inserts are the keys
-/// themselves.
-void ReplayOnKeyStore(CrackPairs& store, CrackerIndex& index,
-                      const TapeEntry& entry);
 
 }  // namespace crackdb
 

@@ -12,7 +12,7 @@ namespace crackdb {
 /// values of the set's head attribute A, tail holds values of `tail_attr`
 /// B (or tuple keys for the per-set deletion map M_A,key). The map's
 /// `cursor` points at the first tape entry it has not yet replayed; the
-/// MapSet owns tape and replay logic.
+/// MapSet owns the tape and aligns the map through Replay (core/tape.h).
 class CrackerMap {
  public:
   explicit CrackerMap(std::string tail_attr)

@@ -1,7 +1,5 @@
 #include "core/map_set.h"
 
-#include <cassert>
-
 #include "updates/ripple.h"
 
 namespace crackdb {
@@ -9,36 +7,18 @@ namespace crackdb {
 MapSet::MapSet(const Relation& relation, const std::string& head_attr)
     : relation_(&relation),
       head_attr_(head_attr),
-      pending_(relation, relation.ColumnOrdinal(head_attr)) {
-  const Column& head = relation.column(head_attr);
-  const size_t n = head.size();
-  snapshot_head_.reserve(relation.num_live_rows());
-  snapshot_keys_.reserve(relation.num_live_rows());
-  for (size_t i = 0; i < n; ++i) {
-    if (relation.IsDeleted(static_cast<Key>(i))) continue;
-    snapshot_head_.push_back(head[i]);
-    snapshot_keys_.push_back(static_cast<Key>(i));
-  }
-  key_map_ = BuildFromSnapshot(kKeyMapAttr);
+      snapshot_(LivePairs(relation, head_attr)),
+      pending_(relation, relation.ColumnOrdinal(head_attr)),
+      key_map_(BuildFromSnapshot(kKeyMapAttr)) {}
+
+const Column* MapSet::TailColumn(const std::string& tail_attr) const {
+  return tail_attr == kKeyMapAttr ? nullptr : &relation_->column(tail_attr);
 }
 
 std::unique_ptr<CrackerMap> MapSet::BuildFromSnapshot(
     const std::string& tail_attr) const {
   auto map = std::make_unique<CrackerMap>(tail_attr);
-  const size_t n = snapshot_head_.size();
-  map->store().head = snapshot_head_;  // bulk copy of the head column
-  std::vector<Value>& tail_out = map->store().tail;
-  tail_out.resize(n);
-  if (tail_attr == kKeyMapAttr) {
-    for (size_t i = 0; i < n; ++i) {
-      tail_out[i] = static_cast<Value>(snapshot_keys_[i]);
-    }
-  } else {
-    const Column& tail = relation_->column(tail_attr);
-    for (size_t i = 0; i < n; ++i) {
-      tail_out[i] = tail[snapshot_keys_[i]];
-    }
-  }
+  map->store() = ResolveTails(snapshot_, TailColumn(tail_attr));
   return map;
 }
 
@@ -62,45 +42,9 @@ CrackerMap& MapSet::GetOrCreateMap(const std::string& tail_attr,
 
 void MapSet::DropMap(const std::string& tail_attr) { maps_.erase(tail_attr); }
 
-Value MapSet::TailValueForKey(const CrackerMap& map, Key key) const {
-  if (map.tail_attr() == kKeyMapAttr) return static_cast<Value>(key);
-  return relation_->column(map.tail_attr())[key];
-}
-
-void MapSet::ReplayEntry(CrackerMap& map, const TapeEntry& entry) {
-  switch (entry.kind) {
-    case TapeEntry::Kind::kCrack:
-      CrackOnPredicate(map.store(), map.index(), entry.pred);
-      break;
-    case TapeEntry::Kind::kCrackBound: {
-      if (!map.index().FindSplit(entry.bound).has_value()) {
-        const CrackerIndex::Piece piece =
-            map.index().FindPiece(entry.bound, map.size());
-        const size_t split =
-            CrackInTwo(map.store(), piece.begin, piece.end, entry.bound);
-        map.index().AddSplit(entry.bound, split);
-      }
-      break;
-    }
-    case TapeEntry::Kind::kInsert:
-      RippleInsert(map.store(), map.index(), entry.head_value,
-                   TailValueForKey(map, entry.key));
-      break;
-    case TapeEntry::Kind::kDelete:
-      RippleDeleteAt(map.store(), map.index(), entry.pos);
-      break;
-    case TapeEntry::Kind::kSort:
-      SortPiece(map.store(), map.index(), entry.piece_lower);
-      break;
-  }
-}
-
 void MapSet::AlignTo(CrackerMap& map, size_t target_cursor) {
-  assert(target_cursor <= tape_.size());
-  while (map.cursor() < target_cursor) {
-    ReplayEntry(map, tape_.at(map.cursor()));
-    map.set_cursor(map.cursor() + 1);
-  }
+  map.set_cursor(Replay(tape_, map.cursor(), target_cursor, map.store(),
+                        map.index(), TailColumn(map.tail_attr())));
 }
 
 void MapSet::Align(CrackerMap& map) { AlignTo(map, tape_.size()); }
@@ -152,7 +96,7 @@ CrackerIndex::Estimate MapSet::EstimateMatches(
   if (best == nullptr || best->index().empty()) {
     CrackerIndex::Estimate est;
     est.lower_bound = 0;
-    est.upper_bound = snapshot_head_.size();
+    est.upper_bound = snapshot_.size();
     est.interpolated = static_cast<double>(est.upper_bound);
     return est;
   }

@@ -80,19 +80,19 @@ class MapSet {
   std::vector<std::string> MapNames() const;
 
   /// Number of live rows the snapshot holds (initial map size).
-  size_t snapshot_size() const { return snapshot_head_.size(); }
+  size_t snapshot_size() const { return snapshot_.size(); }
 
  private:
-  void ReplayEntry(CrackerMap& map, const TapeEntry& entry);
-  Value TailValueForKey(const CrackerMap& map, Key key) const;
-  std::unique_ptr<CrackerMap> BuildFromSnapshot(const std::string& tail_attr) const;
+  /// Base column a map resolves its tails through; null for M_A,key.
+  const Column* TailColumn(const std::string& tail_attr) const;
+  std::unique_ptr<CrackerMap> BuildFromSnapshot(
+      const std::string& tail_attr) const;
 
   const Relation* relation_;
   std::string head_attr_;
   /// Creation-time (A value, key) pairs of live rows in insertion order —
   /// the deterministic starting state every map replays from.
-  std::vector<Value> snapshot_head_;
-  std::vector<Key> snapshot_keys_;
+  CrackPairs snapshot_;
   CrackerTape tape_;
   PendingQueue pending_;
   /// M_A,key: resolves deletion keys to aligned positions (Section 3.5).

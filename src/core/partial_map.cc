@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "updates/ripple.h"
-
 namespace crackdb {
 
 PartialMap::PartialMap(const Relation& relation, std::string head_attr,
@@ -22,62 +20,31 @@ bool PartialMap::HasChunk(const AreaStart& start) const {
   return chunks_.count(start) != 0;
 }
 
-MapChunk& PartialMap::CreateChunk(ChunkMapArea& area) {
-  assert(area.h_cursor == area.tape.size() && "area must be aligned");
+MapChunk PartialMap::ChunkFromArea(const ChunkMapArea& area) const {
   MapChunk chunk;
   chunk.area_start = area.start;
-  const size_t n = area.store.size();
-  chunk.store.Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    chunk.store.PushBack(area.store.head[i],
-                         TailForKey(static_cast<Key>(area.store.tail[i])));
-  }
+  chunk.store = ResolveTails(area.store, tail_column_);
   chunk.index = area.index.CloneLive();
-  chunk.cursor = area.tape.size();
-  auto [it, inserted] = chunks_.insert_or_assign(area.start, std::move(chunk));
+  chunk.cursor = area.h_cursor;
+  return chunk;
+}
+
+MapChunk& PartialMap::CreateChunk(ChunkMapArea& area) {
+  assert(area.h_cursor == area.tape.size() && "area must be aligned");
+  auto [it, inserted] =
+      chunks_.insert_or_assign(area.start, ChunkFromArea(area));
   (void)inserted;
   return it->second;
 }
 
 void PartialMap::DropChunk(const AreaStart& start) { chunks_.erase(start); }
 
-void PartialMap::ReplayEntry(MapChunk& chunk, const TapeEntry& entry) {
-  switch (entry.kind) {
-    case TapeEntry::Kind::kCrack:
-      CrackOnPredicate(chunk.store, chunk.index, entry.pred);
-      break;
-    case TapeEntry::Kind::kCrackBound: {
-      if (!chunk.index.FindSplit(entry.bound).has_value()) {
-        const CrackerIndex::Piece piece =
-            chunk.index.FindPiece(entry.bound, chunk.store.size());
-        const size_t split =
-            CrackInTwo(chunk.store, piece.begin, piece.end, entry.bound);
-        chunk.index.AddSplit(entry.bound, split);
-      }
-      break;
-    }
-    case TapeEntry::Kind::kInsert:
-      RippleInsert(chunk.store, chunk.index, entry.head_value,
-                   TailForKey(entry.key));
-      break;
-    case TapeEntry::Kind::kDelete:
-      RippleDeleteAt(chunk.store, chunk.index, entry.pos);
-      break;
-    case TapeEntry::Kind::kSort:
-      SortPiece(chunk.store, chunk.index, entry.piece_lower);
-      break;
-  }
-}
-
 void PartialMap::AlignChunk(MapChunk& chunk, ChunkMapArea& area,
                             size_t target_cursor) {
-  assert(target_cursor <= area.tape.size());
   if (chunk.cursor >= target_cursor) return;
   if (chunk.store.head_dropped) RecoverHead(chunk, area);
-  while (chunk.cursor < target_cursor) {
-    ReplayEntry(chunk, area.tape.at(chunk.cursor));
-    ++chunk.cursor;
-  }
+  chunk.cursor = Replay(area.tape, chunk.cursor, target_cursor, chunk.store,
+                        chunk.index, tail_column_);
 }
 
 void PartialMap::DropHead(MapChunk& chunk) {
@@ -92,29 +59,17 @@ void PartialMap::RecoverHead(MapChunk& chunk, ChunkMapArea& area) {
     // here the chunk map's own area store is that source): copy the area's
     // (A,key) state, replay forward to the chunk's cursor — determinism
     // makes the resulting head column exactly the chunk's layout.
-    CrackPairs scratch;
-    scratch.head = area.store.head;
-    scratch.tail = area.store.tail;
+    CrackPairs scratch = area.store;
     CrackerIndex scratch_index = area.index.CloneLive();
-    for (size_t c = area.h_cursor; c < chunk.cursor; ++c) {
-      ReplayOnKeyStore(scratch, scratch_index, area.tape.at(c));
-    }
+    Replay(area.tape, area.h_cursor, chunk.cursor, scratch, scratch_index,
+           /*tail=*/nullptr);
     assert(scratch.head.size() == chunk.store.tail.size());
     chunk.store.RestoreHead(std::move(scratch.head));
     return;
   }
   // The area has replayed past this chunk — rebuild the chunk from the
   // area's current state instead (tail values refetched from base).
-  MapChunk rebuilt;
-  rebuilt.area_start = chunk.area_start;
-  const size_t n = area.store.size();
-  rebuilt.store.Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    rebuilt.store.PushBack(area.store.head[i],
-                           TailForKey(static_cast<Key>(area.store.tail[i])));
-  }
-  rebuilt.index = area.index.CloneLive();
-  rebuilt.cursor = area.h_cursor;
+  MapChunk rebuilt = ChunkFromArea(area);
   rebuilt.accesses = chunk.accesses;
   rebuilt.last_crack_access = chunk.last_crack_access;
   rebuilt.sm_id = chunk.sm_id;  // keep the storage-manager identity

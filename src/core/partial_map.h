@@ -88,8 +88,9 @@ class PartialMap {
   }
 
  private:
-  Value TailForKey(Key key) const { return (*tail_column_)[key]; }
-  void ReplayEntry(MapChunk& chunk, const TapeEntry& entry);
+  /// A chunk copied from `area` at the area's cursor: same head, same
+  /// splits, keys resolved to this map's tail values.
+  MapChunk ChunkFromArea(const ChunkMapArea& area) const;
 
   const Relation* relation_;
   std::string head_attr_;

@@ -123,16 +123,8 @@ PartialQueryResult PartialMapSet::Execute(const PartialQueryRequest& req) {
           chunk_map_.AlignArea(area);
         } else {
           // No chunks derive from an unfetched area: crack in place.
-          TapeEntry e;
-          e.kind = TapeEntry::Kind::kCrackBound;
-          if (ra.crack_low) {
-            e.bound = b_lo;
-            ReplayOnKeyStore(area.store, area.index, e);
-          }
-          if (ra.crack_high) {
-            e.bound = b_hi;
-            ReplayOnKeyStore(area.store, area.index, e);
-          }
+          if (ra.crack_low) EnsureSplit(area.store, area.index, b_lo);
+          if (ra.crack_high) EnsureSplit(area.store, area.index, b_hi);
         }
       }
       const PositionRange r =

@@ -5,8 +5,12 @@
 #include <vector>
 
 #include "common/types.h"
+#include "cracking/crack.h"
+#include "cracking/cracker_index.h"
 
 namespace crackdb {
+
+class Column;
 
 /// One replayable event in a cracker tape. Alignment (paper Section 3.2)
 /// works because every entry is applied through deterministic operations:
@@ -96,6 +100,26 @@ class CrackerTape {
  private:
   std::vector<TapeEntry> entries_;
 };
+
+/// Replays tape entries [from, to) onto one replica — a store plus its
+/// cracker index — and returns the replica's new cursor, max(from, to).
+/// This is the only implementation of alignment (paper Section 3.2, and
+/// Section 4.1 for partial maps): full maps M_AB, the deletion map
+/// M_A,key, chunk-map areas, chunks, and head-recovery scratch copies all
+/// advance through it, so replicas that replay the same entries from the
+/// same state end up byte-identical.
+///
+/// `tail` resolves an inserted row's tail value: the base column of a map
+/// or chunk, or null for key-tailed stores (M_A,key, areas, scratch
+/// copies), whose tail value is the row key itself.
+size_t Replay(const CrackerTape& tape, size_t from, size_t to,
+              CrackPairs& store, CrackerIndex& index, const Column* tail);
+
+/// A copy of the key-tailed store `keyed` with every key resolved through
+/// `tail` (kept as is when `tail` is null) — how a map or chunk is born
+/// from a key-tailed replica at the same tape point. The caller copies
+/// the index alongside.
+CrackPairs ResolveTails(const CrackPairs& keyed, const Column* tail);
 
 }  // namespace crackdb
 

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "kernels/kernels.h"
+#include "storage/relation.h"
 
 namespace crackdb {
 
@@ -19,6 +20,17 @@ void CrackPairs::RestoreHead(std::vector<Value> recovered) {
   assert(recovered.size() == tail.size());
   head = std::move(recovered);
   head_dropped = false;
+}
+
+CrackPairs LivePairs(const Relation& relation, const std::string& attr) {
+  const Column& base = relation.column(attr);
+  CrackPairs pairs;
+  pairs.Reserve(relation.num_live_rows());
+  for (size_t i = 0; i < base.size(); ++i) {
+    if (relation.IsDeleted(static_cast<Key>(i))) continue;
+    pairs.PushBack(base[i], static_cast<Value>(i));
+  }
+  return pairs;
 }
 
 size_t CrackInTwo(CrackPairs& store, size_t begin, size_t end,
@@ -48,10 +60,6 @@ std::pair<size_t, size_t> CrackInThree(CrackPairs& store, size_t begin,
   return {begin + mid_begin, begin + hi_begin};
 }
 
-namespace {
-
-/// Ensures a split exists for `bound`; cracks the containing piece when it
-/// does not. Returns {position, whether a crack happened}.
 std::pair<size_t, bool> EnsureSplit(CrackPairs& store, CrackerIndex& index,
                                     const Bound& bound) {
   if (std::optional<size_t> pos = index.FindSplit(bound)) {
@@ -62,8 +70,6 @@ std::pair<size_t, bool> EnsureSplit(CrackPairs& store, CrackerIndex& index,
   index.AddSplit(bound, split);
   return {split, true};
 }
-
-}  // namespace
 
 CrackResult CrackOnPredicate(CrackPairs& store, CrackerIndex& index,
                              const RangePredicate& pred) {
@@ -156,11 +162,6 @@ PositionRange SortPiece(CrackPairs& store, CrackerIndex& index,
   std::copy(new_head.begin(), new_head.end(), store.head.begin() + dst);
   std::copy(new_tail.begin(), new_tail.end(), store.tail.begin() + dst);
   return {piece.begin, piece.end};
-}
-
-PositionRange PeekArea(const CrackerIndex& index, const RangePredicate& pred,
-                       size_t store_size) {
-  return index.FindArea(pred, store_size);
 }
 
 bool CheckCrackInvariant(const CrackPairs& store, const CrackerIndex& index) {

@@ -2,6 +2,7 @@
 #define CRACKDB_CRACKING_CRACK_H_
 
 #include <cstddef>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -9,6 +10,8 @@
 #include "cracking/cracker_index.h"
 
 namespace crackdb {
+
+class Relation;
 
 /// A two-column cracked store: `head` holds the organizing attribute's
 /// values, `tail` the payload — a projection attribute for cracker maps
@@ -67,6 +70,11 @@ struct CrackPairs {
   }
 };
 
+/// The (value, key) pairs of the live rows of `relation.attr`, in key
+/// order: the starting state of every key-tailed store built over a base
+/// column (cracker columns, map-set snapshots, the first chunk-map area).
+CrackPairs LivePairs(const Relation& relation, const std::string& attr);
+
 /// Result of cracking a store on a predicate.
 struct CrackResult {
   /// Contiguous positions of all qualifying tuples.
@@ -94,6 +102,13 @@ std::pair<size_t, size_t> CrackInThree(CrackPairs& store, size_t begin,
                                        size_t end, const Bound& lo,
                                        const Bound& hi);
 
+/// The one split primitive: ensures `index` has a split for `bound`,
+/// cracking the piece that contains it in two when it does not. Returns
+/// {split position, whether a crack happened}. Predicate cracks, tape
+/// replay of single bounds, and chunk-map area splits all go through it.
+std::pair<size_t, bool> EnsureSplit(CrackPairs& store, CrackerIndex& index,
+                                    const Bound& bound);
+
 /// The single entry point used everywhere a structure is cracked on a
 /// selection: finds / creates the splits for `pred` in `index`, physically
 /// reorganizing `store` as needed (crack-in-three when both new bounds fall
@@ -115,12 +130,6 @@ CrackResult CrackOnPredicate(CrackPairs& store, CrackerIndex& index,
 /// Returns the sorted piece's position range.
 PositionRange SortPiece(CrackPairs& store, CrackerIndex& index,
                         const std::optional<Bound>& piece_lower);
-
-/// Looks up the contiguous area for `pred` without reorganizing; the area
-/// may include false hits in its boundary pieces. Used for estimation and
-/// by read-only paths.
-PositionRange PeekArea(const CrackerIndex& index, const RangePredicate& pred,
-                       size_t store_size);
 
 /// True iff every entry of `store` within `area` satisfies `pred` and no
 /// entry outside does; test helper enforcing the crack invariant.

@@ -7,32 +7,14 @@ namespace crackdb {
 CrackerColumn::CrackerColumn(const Relation& relation, const std::string& attr)
     : relation_(&relation),
       attr_(attr),
-      pending_(relation, relation.ColumnOrdinal(attr)) {
-  const Column& base = relation.column(attr);
-  const size_t n = base.size();
-  store_.Reserve(relation.num_live_rows());
-  for (size_t i = 0; i < n; ++i) {
-    if (relation.IsDeleted(static_cast<Key>(i))) continue;
-    store_.PushBack(base[i], static_cast<Value>(i));
-  }
-}
+      store_(LivePairs(relation, attr)),
+      pending_(relation, relation.ColumnOrdinal(attr)) {}
 
 void CrackerColumn::MergePending(const RangePredicate& pred) {
   pending_.Pull();
   if (pending_.pending_count() == 0) return;
   for (const PendingUpdate& u : pending_.ExtractMatching(pred)) {
-    if (u.kind == UpdateEvent::Kind::kInsert) {
-      RippleInsert(store_, index_, u.head_value, static_cast<Value>(u.key));
-    } else {
-      // The matching insert either was merged earlier or directly precedes
-      // this delete in the extracted batch; absence means the row never
-      // reached the cracker column (insert+delete both pending, already
-      // applied in order), so a miss is impossible here.
-      if (auto pos = FindEntry(store_, index_, u.head_value,
-                               static_cast<Value>(u.key))) {
-        RippleDeleteAt(store_, index_, *pos);
-      }
-    }
+    MergeUpdate(store_, index_, u);
   }
 }
 

@@ -141,18 +141,24 @@ Database::~Database() {
   pool_.reset();
 }
 
-void Database::RegisterSharded(const std::string& table,
-                               const Relation& source,
-                               const PartitionSpec& spec,
-                               const std::string& engine_kind,
-                               const AdaptiveConfig& adaptive) {
+Expected<size_t> Database::RegisterSharded(const std::string& table,
+                                           const Relation& source,
+                                           const PartitionSpec& spec,
+                                           const std::string& engine_kind,
+                                           const AdaptiveConfig& adaptive) {
   EngineFactory factory = MakeEngineFactory(engine_kind);
-  if (!factory) Die("unknown engine kind", engine_kind);
+  if (!factory) return QueryError{"unknown engine kind '" + engine_kind + "'"};
 
   // Exclusive for the whole registration: partitioning creates relations
   // in the shared catalog, which in-flight registrations of other tables
-  // would otherwise race on.
+  // would otherwise race on. Every check runs before partitioning touches
+  // the catalog.
   std::unique_lock<std::shared_mutex> lock(tables_mu_);
+  if (tables_.count(table) != 0) {
+    return QueryError{"table '" + table + "' already exists"};
+  }
+  std::string invalid = Partitioner::Validate(catalog_, source, spec);
+  if (!invalid.empty()) return QueryError{std::move(invalid)};
   auto entry = std::make_unique<Table>(
       Partitioner::Partition(&catalog_, source, spec));
   entry->engine = std::make_unique<ShardedEngine>(
@@ -178,9 +184,9 @@ void Database::RegisterSharded(const std::string& table,
       }
     }
   }
-  if (!tables_.emplace(table, std::move(entry)).second) {
-    Die("duplicate table", table);
-  }
+  const size_t partitions = entry->relation.num_partitions();
+  tables_.emplace(table, std::move(entry));
+  return partitions;
 }
 
 namespace {

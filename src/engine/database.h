@@ -173,7 +173,7 @@ struct TableStats {
 /// ShardedEngine::Execute, the batch scheduler. Insert/Delete are one-op
 /// ApplyBatch calls. Queries, writes, and repartition ticks on an unknown
 /// table fail soft (an Expected error, kInvalidKey, or false) instead of
-/// aborting.
+/// aborting, and so does a rejected RegisterSharded.
 class Database {
  public:
   explicit Database(DatabaseOptions options = {});
@@ -190,10 +190,14 @@ class Database {
   /// registered in catalog() (named `<source>#p<i>`) and serves `table`
   /// from one `engine_kind` engine per partition (any engine_factory.h
   /// kind). Global keys equal source keys; tombstones are replicated.
-  /// Dies on duplicate table names or unknown engine kinds. Not
-  /// thread-safe against in-flight operations on the same table name;
-  /// registration is expected at startup (concurrent registration of
-  /// *different* tables is fine).
+  /// Returns the number of partitions serving the table, or — before any
+  /// catalog side effect — an Expected error for an unknown engine kind,
+  /// a duplicate table name, or a spec Partitioner::Validate rejects
+  /// (zero partitions, an unknown organizing column, an inverted range
+  /// domain, partition relations that already exist). Not thread-safe
+  /// against in-flight operations on the same table name; registration is
+  /// expected at startup (concurrent registration of *different* tables is
+  /// fine).
   ///
   /// `adaptive` (off by default) arms workload-aware repartitioning for
   /// this table: queries feed a WorkloadHistogram, and each tick — manual
@@ -202,10 +206,11 @@ class Database {
   /// partitions online (see src/adaptive/ and docs/ARCHITECTURE.md,
   /// "Adaptive repartitioning"). Range sharding only; on hash-sharded
   /// tables ticks are no-ops.
-  void RegisterSharded(const std::string& table, const Relation& source,
-                       const PartitionSpec& spec,
-                       const std::string& engine_kind,
-                       const AdaptiveConfig& adaptive = {});
+  Expected<size_t> RegisterSharded(const std::string& table,
+                                   const Relation& source,
+                                   const PartitionSpec& spec,
+                                   const std::string& engine_kind,
+                                   const AdaptiveConfig& adaptive = {});
 
   /// One adaptive-repartitioning tick, run inline on the calling (client)
   /// thread: consults the workload histogram and policy, and executes at

@@ -90,10 +90,6 @@ CrackerColumn& SelectionCrackingEngine::GetOrCreate(const std::string& attr) {
   return *it->second;
 }
 
-bool SelectionCrackingEngine::HasCrackerColumn(const std::string& attr) const {
-  return columns_.count(attr) != 0;
-}
-
 std::unique_ptr<SelectionHandle> SelectionCrackingEngine::Select(
     const QuerySpec& spec) {
   std::vector<Key> keys;

@@ -29,7 +29,6 @@ class SelectionCrackingEngine : public Engine {
 
   /// The cracker column of `attr`, creating it if missing (tests).
   CrackerColumn& GetOrCreate(const std::string& attr);
-  bool HasCrackerColumn(const std::string& attr) const;
 
  private:
   const Relation* relation_;

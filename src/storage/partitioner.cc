@@ -248,10 +248,32 @@ void PartitionedRelation::SpliceRange(
   spec_.num_partitions = partitions_.size();
 }
 
+std::string Partitioner::Validate(const Catalog& catalog,
+                                  const Relation& source,
+                                  const PartitionSpec& spec) {
+  if (spec.num_partitions == 0) return "num_partitions must be >= 1";
+  if (!source.HasColumn(spec.column)) {
+    return "unknown organizing column '" + spec.column + "' in relation '" +
+           source.name() + "'";
+  }
+  if (spec.kind == PartitionSpec::Kind::kRange &&
+      spec.domain_lo > spec.domain_hi) {
+    return "range partitioning needs domain_lo <= domain_hi";
+  }
+  for (size_t i = 0; i < spec.num_partitions; ++i) {
+    const std::string name = source.name() + "#p" + std::to_string(i);
+    if (catalog.HasRelation(name)) {
+      return "partition relation '" + name + "' already exists";
+    }
+  }
+  return "";
+}
+
 PartitionedRelation Partitioner::Partition(Catalog* catalog,
                                            const Relation& source,
                                            const PartitionSpec& spec) {
-  if (spec.num_partitions == 0) Die("num_partitions must be >= 1", spec.column);
+  const std::string invalid = Validate(*catalog, source, spec);
+  if (!invalid.empty()) Die("invalid partitioning", invalid);
   const size_t organizing = source.ColumnOrdinal(spec.column);
 
   std::vector<Relation*> partitions;

@@ -181,9 +181,17 @@ class Partitioner {
   /// answers exactly like one against `source`. Engines over the partitions
   /// must be created *after* this call (the replicated tombstones are
   /// logged as delete events in the partition logs).
+  /// Dies when Validate rejects the arguments.
   static PartitionedRelation Partition(Catalog* catalog,
                                        const Relation& source,
                                        const PartitionSpec& spec);
+
+  /// "" when Partition(catalog, source, spec) can run; otherwise the first
+  /// reason it cannot: zero partitions, an organizing column `source`
+  /// lacks, an inverted range domain, or a partition name `catalog`
+  /// already holds. Has no side effects.
+  static std::string Validate(const Catalog& catalog, const Relation& source,
+                              const PartitionSpec& spec);
 };
 
 }  // namespace crackdb

@@ -36,4 +36,14 @@ std::optional<size_t> FindEntry(const CrackPairs& store,
   return std::nullopt;
 }
 
+void MergeUpdate(CrackPairs& store, CrackerIndex& index,
+                 const PendingUpdate& update) {
+  const Value key = static_cast<Value>(update.key);
+  if (update.kind == UpdateEvent::Kind::kInsert) {
+    RippleInsert(store, index, update.head_value, key);
+  } else if (auto pos = FindEntry(store, index, update.head_value, key)) {
+    RippleDeleteAt(store, index, *pos);
+  }
+}
+
 }  // namespace crackdb

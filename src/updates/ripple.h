@@ -7,6 +7,7 @@
 #include "common/types.h"
 #include "cracking/crack.h"
 #include "cracking/cracker_index.h"
+#include "updates/pending.h"
 
 namespace crackdb {
 
@@ -40,6 +41,13 @@ void RippleDeleteAt(CrackPairs& store, CrackerIndex& index, size_t pos);
 std::optional<size_t> FindEntry(const CrackPairs& store,
                                 const CrackerIndex& index, Value head_value,
                                 Value tail_value);
+
+/// The one in-place update merge, for key-tailed stores no tape covers
+/// (cracker columns, unfetched chunk-map areas): an insert ripples
+/// (head_value, key) into its piece; a delete locates the row's entry and
+/// ripples it out, and is a no-op when the row never reached the store.
+void MergeUpdate(CrackPairs& store, CrackerIndex& index,
+                 const PendingUpdate& update);
 
 }  // namespace crackdb
 

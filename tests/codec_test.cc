@@ -64,8 +64,13 @@ std::vector<Value> Runs(Rng* rng, size_t n, size_t len, Value domain) {
 
 /// Predicate shapes mirrored from kernel_test's oracle matrix.
 std::vector<RangePredicate> Predicates(Value lo, Value hi) {
-  const Value third = lo + (hi - lo) / 3;
-  const Value two_thirds = lo + 2 * ((hi - lo) / 3);
+  // The span of [lo, hi] can exceed Value's range, so the thirds are taken
+  // in unsigned arithmetic; both points still lie within [lo, hi].
+  const uint64_t step =
+      (static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)) / 3;
+  const Value third = static_cast<Value>(static_cast<uint64_t>(lo) + step);
+  const Value two_thirds =
+      static_cast<Value>(static_cast<uint64_t>(lo) + 2 * step);
   return {
       RangePredicate::Closed(third, two_thirds),
       RangePredicate::Open(third, two_thirds),

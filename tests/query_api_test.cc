@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -208,6 +209,89 @@ TEST_F(QueryApiTest, ApplyBatchOnUnknownTableFailsEveryOp) {
 TEST_F(QueryApiTest, MaybeRepartitionOnUnknownTableReturnsFalse) {
   auto db = MakeDb("plain");
   EXPECT_FALSE(db->MaybeRepartition("nope"));
+}
+
+// Registration fails soft as well: every rejected input comes back as an
+// Expected error before the catalog or the table list changes.
+
+std::vector<std::string> Sorted(std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Registers `table` expecting a rejection; returns the error message after
+/// checking that the database's catalog and tables are unchanged.
+std::string RegisterRejected(Database& db, const std::string& table,
+                             const Relation& source, const PartitionSpec& spec,
+                             const std::string& kind) {
+  const std::vector<std::string> relations =
+      Sorted(db.catalog().relation_names());
+  const std::vector<std::string> tables = Sorted(db.table_names());
+  const Expected<size_t> result = db.RegisterSharded(table, source, spec, kind);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(Sorted(db.catalog().relation_names()), relations);
+  EXPECT_EQ(Sorted(db.table_names()), tables);
+  return result.ok() ? "" : result.error();
+}
+
+TEST_F(QueryApiTest, RegisterShardedReportsItsPartitions) {
+  Database db(DatabaseOptions{.pool_threads = 0});
+  const Expected<size_t> result =
+      db.RegisterSharded("R", *source_, RangeShards(3), "plain");
+  ASSERT_TRUE(result.ok()) << result.error();
+  EXPECT_EQ(*result, 3u);
+}
+
+TEST_F(QueryApiTest, UnknownEngineKindIsARegistrationError) {
+  auto db = MakeDb("plain");
+  const std::string error =
+      RegisterRejected(*db, "T", *source_, RangeShards(2), "nope");
+  EXPECT_NE(error.find("unknown engine kind 'nope'"), std::string::npos)
+      << error;
+}
+
+TEST_F(QueryApiTest, DuplicateTableIsARegistrationError) {
+  auto db = MakeDb("plain");
+  Rng rng(7);
+  const Relation& other =
+      bench::CreateUniformRelation(&catalog_, "S", 4, 100, kDomain, &rng);
+  const std::string error =
+      RegisterRejected(*db, "R", other, RangeShards(2), "plain");
+  EXPECT_NE(error.find("table 'R' already exists"), std::string::npos)
+      << error;
+}
+
+TEST_F(QueryApiTest, UnknownOrganizingColumnIsARegistrationError) {
+  Database db(DatabaseOptions{.pool_threads = 0});
+  PartitionSpec spec = RangeShards(2);
+  spec.column = "nope";
+  const std::string error = RegisterRejected(db, "R", *source_, spec, "plain");
+  EXPECT_NE(error.find("unknown organizing column 'nope'"), std::string::npos)
+      << error;
+}
+
+TEST_F(QueryApiTest, ZeroPartitionsIsARegistrationError) {
+  Database db(DatabaseOptions{.pool_threads = 0});
+  const std::string error =
+      RegisterRejected(db, "R", *source_, RangeShards(0), "plain");
+  EXPECT_NE(error.find("num_partitions"), std::string::npos) << error;
+}
+
+TEST_F(QueryApiTest, InvertedRangeDomainIsARegistrationError) {
+  Database db(DatabaseOptions{.pool_threads = 0});
+  PartitionSpec spec = RangeShards(2);
+  spec.domain_lo = kDomain;
+  spec.domain_hi = 1;
+  const std::string error = RegisterRejected(db, "R", *source_, spec, "plain");
+  EXPECT_NE(error.find("domain_lo <= domain_hi"), std::string::npos) << error;
+}
+
+TEST_F(QueryApiTest, ResharingASourceIsARegistrationError) {
+  // A second table over the same source would reuse its partition names.
+  auto db = MakeDb("plain");
+  const std::string error =
+      RegisterRejected(*db, "T", *source_, RangeShards(2), "plain");
+  EXPECT_NE(error.find("'R#p0' already exists"), std::string::npos) << error;
 }
 
 TEST_F(QueryApiTest, UnknownAttributeIsAnError) {
