@@ -32,7 +32,6 @@
 #include "common/timer.h"
 #include "engine/database.h"
 #include "engine/plain_engine.h"
-#include "obs/metrics.h"
 #include "storage/catalog.h"
 
 namespace crackdb::bench {
@@ -50,8 +49,6 @@ struct ThroughputOptions {
   /// Range queries follow a shifting hotspot (DriftingHotspotGen) instead
   /// of uniform ranges — the adaptive-repartitioning stress shape.
   bool drift = false;
-  /// Dump the full Prometheus-style metrics text after the sweep.
-  bool metrics = false;
 };
 
 PartitionSpec MakeSpec(const ThroughputOptions& opt) {
@@ -262,10 +259,6 @@ void Run(const BenchArgs& args, const ThroughputOptions& opt) {
                 stats.rows, stats.live_rows);
   }
   table.Print();
-  if (effective.metrics) {
-    std::printf("# metrics text exposition\n%s",
-                obs::RenderMetricsText().c_str());
-  }
 }
 
 }  // namespace
@@ -328,12 +321,6 @@ int main(int argc, char** argv) {
        [&opt](const char* a) {
          if (std::strcmp(a, "--drift") != 0) return false;
          opt.drift = true;
-         return true;
-       }},
-      {"--metrics", "dump Prometheus-style metrics text after the sweep",
-       [&opt](const char* a) {
-         if (std::strcmp(a, "--metrics") != 0) return false;
-         opt.metrics = true;
          return true;
        }},
   };

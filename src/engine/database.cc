@@ -298,10 +298,10 @@ Value Database::InternName(const std::string& name) {
   return system_names_.Encode(name);
 }
 
-std::string Database::SystemName(Value id) const {
+Expected<std::string> Database::SystemName(Value id) const {
   std::lock_guard<std::mutex> lock(system_names_mu_);
   if (id < 0 || static_cast<size_t>(id) >= system_names_.size()) {
-    Die("unknown system name id", std::to_string(id));
+    return QueryError{"unknown system name id " + std::to_string(id)};
   }
   return system_names_.Decode(id);
 }
@@ -309,23 +309,10 @@ std::string Database::SystemName(Value id) const {
 void Database::LogQuery(const std::string& table, ConsumeKind kind,
                         const ExecuteResult& result, bool always) {
   if (!obs::MetricsEnabled()) return;
+  Metrics().queries.Add();
   const uint64_t seq = log_seq_.fetch_add(1, std::memory_order_relaxed);
   const bool sampled = (seq & (kQueryLogSampleEvery - 1)) == 0;
   if (!sampled && !always && result.trace == nullptr) return;
-  // Fold the query-counter update into the sampled path too: report the
-  // delta of sequence numbers allocated since the last report, so
-  // db_queries_total stays *exact* at every sample point while the
-  // unsampled path pays nothing. The CAS-max keeps concurrent reporters
-  // from double-counting a window (each successful advance accounts
-  // exactly its own delta).
-  const uint64_t total = seq + 1;
-  uint64_t prev = queries_reported_.load(std::memory_order_relaxed);
-  while (total > prev && !queries_reported_.compare_exchange_weak(
-                             prev, total, std::memory_order_relaxed)) {
-  }
-  if (total > prev) {
-    Metrics().queries.Add(static_cast<double>(total - prev));
-  }
   const double engine_micros = result.cost.select_micros +
                                result.cost.reconstruct_micros +
                                result.cost.prepare_micros;
@@ -392,13 +379,6 @@ void Database::FillSystemPartitions(Relation& out) {
 }
 
 void Database::FillSystemMetrics(Relation& out) {
-  // Engines batch their registry increments under their cost mutex; drain
-  // them so the snapshot reflects all finished work (FlushMetrics is the
-  // documented sync point).
-  {
-    std::shared_lock<std::shared_mutex> lock(tables_mu_);
-    for (const auto& [name, t] : tables_) t->engine->FlushMetrics();
-  }
   for (const obs::MetricSample& s : obs::MetricsRegistry::Global().Snapshot()) {
     const Value row[] = {InternName(s.name),
                          static_cast<Value>(static_cast<int>(s.kind)),
@@ -926,7 +906,6 @@ TableStats Database::Stats(const std::string& table) const {
       stats.rows == 0 ? 0.0
                       : static_cast<double>(stats.resident_column_bytes) /
                             static_cast<double>(stats.rows);
-  stats.cost = t.engine->CostSnapshot();
   return stats;
 }
 

@@ -132,8 +132,6 @@ struct TableStats {
   uint64_t encoded_queries = 0;
   size_t resident_column_bytes = 0;
   double bytes_per_row = 0;
-  /// Summed per-partition cost breakdown (select/reconstruct/prepare).
-  CostBreakdown cost;
   /// Per-partition breakdown, in partition order (see PartitionStats).
   std::vector<PartitionStats> per_partition;
 };
@@ -313,8 +311,8 @@ class Database {
 
   /// Decodes a name id from a system.* snapshot (table, metric, engine,
   /// and codec names are dictionary codes there, since system tables carry
-  /// only Value cells) back to its string. Dies on ids never issued.
-  std::string SystemName(Value id) const;
+  /// only Value cells) back to its string. An error for ids never issued.
+  Expected<std::string> SystemName(Value id) const;
 
  private:
   struct Table {
@@ -437,9 +435,9 @@ class Database {
   /// inverse of SystemName.
   Value InternName(const std::string& name);
 
-  /// Per-query observability epilogue: bumps the registry's query
-  /// counter/latency histogram and appends to the query-log ring. The
-  /// unsampled path is one relaxed increment; the heavy work (histogram,
+  /// Per-query observability epilogue: counts the query into
+  /// db_queries_total (exact, every query), then samples. The unsampled
+  /// path is that add plus one relaxed increment; the heavy work (histogram,
   /// ring append) runs for every traced query, every `always` caller
   /// (system.* queries), and a 1-in-64 sample of the untraced rest.
   /// Micros are engine-attributed (the result's CostBreakdown), so the
@@ -450,10 +448,8 @@ class Database {
 
   Catalog catalog_;
   obs::QueryLog query_log_;
-  /// Queries that passed through LogQuery; doubles as the sampling phase.
+  /// Queries that passed through LogQuery; the sampling phase.
   std::atomic<uint64_t> log_seq_{0};
-  /// High-water mark of log_seq_ already folded into db_queries_total.
-  std::atomic<uint64_t> queries_reported_{0};
   /// Codes for every string surfaced through a system.* snapshot.
   mutable std::mutex system_names_mu_;
   Dictionary system_names_;

@@ -24,12 +24,9 @@ namespace {
 /// test checks registry deltas against summed per-query costs), so
 /// whatever lands in a result's cost also lands here — including the
 /// grouped merge (select-side) and the materialize/visit merges
-/// (reconstruct-side). Hot-path updates are *batched*: they accumulate as
-/// plain fields (PendingMetrics) under cost_mu_, which the batch epilogue
-/// takes anyway, and drain every kMetricsFlushBatches batches (or at any
-/// CostSnapshot/FlushMetrics sync point) — the per-batch hot-path price
-/// of the whole engine family is a handful of non-atomic adds under an
-/// already-held lock. docs/OBSERVABILITY.md has the inventory.
+/// (reconstruct-side). Each fact is added once, where it is computed, so
+/// the registry is exact the moment a batch returns.
+/// docs/OBSERVABILITY.md has the inventory.
 struct EngineMetrics {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   obs::Counter& batches = reg.GetCounter("engine_batches_total");
@@ -55,12 +52,6 @@ EngineMetrics& Metrics() {
   static EngineMetrics* metrics = new EngineMetrics();
   return *metrics;
 }
-
-/// Pending registry increments drain every this-many batches. Large
-/// enough that the drain's atomic adds amortize to noise, small enough
-/// that `system.metrics` under steady traffic lags by well under a
-/// second.
-constexpr uint64_t kMetricsFlushBatches = 64;
 
 /// Sampling mask for the group-latency histogram: the groups of one
 /// batch in 64 pay the clock read and the histogram update. The
@@ -161,37 +152,6 @@ ShardedEngine::ShardedEngine(const PartitionedRelation& relation,
   RefreshPartitionCounters();
 }
 
-ShardedEngine::~ShardedEngine() { FlushMetrics(); }
-
-void ShardedEngine::FlushMetrics() const {
-  std::lock_guard<std::mutex> lock(cost_mu_);
-  FlushMetricsLocked();
-}
-
-void ShardedEngine::FlushMetricsLocked() const {
-  if (!pending_.dirty) return;
-  // AddAlways: these increments were gathered while metrics were enabled;
-  // a toggle since then must not drop them.
-  EngineMetrics& m = Metrics();
-  m.batches.AddAlways(static_cast<double>(pending_.batches));
-  m.subqueries.AddAlways(static_cast<double>(pending_.subqueries));
-  m.groups.AddAlways(static_cast<double>(pending_.groups));
-  m.pruned.AddAlways(static_cast<double>(pending_.pruned));
-  m.select_micros.AddAlways(pending_.select_micros);
-  m.reconstruct_micros.AddAlways(pending_.reconstruct_micros);
-  m.prepare_micros.AddAlways(pending_.prepare_micros);
-  m.merge_micros.AddAlways(pending_.merge_micros);
-  for (size_t p = 0;
-       p < pending_.per_partition.size() && p < partition_counters_.size();
-       ++p) {
-    if (pending_.per_partition[p] > 0) {
-      partition_counters_[p]->AddAlways(
-          static_cast<double>(pending_.per_partition[p]));
-    }
-  }
-  pending_ = PendingMetrics{};
-}
-
 void ShardedEngine::RefreshPartitionCounters() {
   partition_counters_.clear();
   partition_counters_.reserve(engines_.size());
@@ -264,9 +224,6 @@ void ShardedEngine::SpliceEngines(size_t first, size_t removed,
   if (removed == 0 || first + removed > engines_.size() || added.empty()) {
     Die("engine splice out of bounds", relation_->name());
   }
-  // Partition indexes are about to shift: drain the per-partition pending
-  // tallies against the *old* keying before the counter family is rebuilt.
-  FlushMetrics();
   const auto begin = static_cast<std::ptrdiff_t>(first);
   const auto end = static_cast<std::ptrdiff_t>(first + removed);
   // The replaced engines are destroyed here: the caller holds the map gate
@@ -387,7 +344,7 @@ ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
       Timer lock_timer;
       lock.lock();
       lock_elapsed = lock_timer.ElapsedMicros();
-      if (obs::MetricsEnabled()) Metrics().lock_wait.Add(lock_elapsed);
+      Metrics().lock_wait.Add(lock_elapsed);
     }
     for (const SubTrace& st : sub_traces) {
       if (st.trace != nullptr) {
@@ -597,28 +554,17 @@ ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
       sum.prepare_micros += shard.cost.prepare_micros;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(cost_mu_);
-    cost_.select_micros += sum.select_micros;
-    cost_.reconstruct_micros += sum.reconstruct_micros;
-    cost_.prepare_micros += sum.prepare_micros;
-    if (obs::MetricsEnabled()) {
-      // Registry increments piggyback on this (already-held) lock as
-      // plain adds; FlushMetricsLocked drains them in bulk.
-      pending_.dirty = true;
-      pending_.batches += 1;
-      pending_.subqueries += total_subqueries;
-      pending_.groups += active.size();
-      pending_.pruned += specs.size() * engines_.size() - total_subqueries;
-      pending_.select_micros += sum.select_micros;
-      pending_.reconstruct_micros += sum.reconstruct_micros;
-      pending_.prepare_micros += sum.prepare_micros;
-      if (pending_.per_partition.size() != engines_.size()) {
-        pending_.per_partition.assign(engines_.size(), 0);
-      }
-      for (size_t p : active) pending_.per_partition[p] += groups[p].size();
-      if (pending_.batches >= kMetricsFlushBatches) FlushMetricsLocked();
-    }
+  EngineMetrics& m = Metrics();
+  m.batches.Add();
+  m.subqueries.Add(static_cast<double>(total_subqueries));
+  m.groups.Add(static_cast<double>(active.size()));
+  m.pruned.Add(
+      static_cast<double>(specs.size() * engines_.size() - total_subqueries));
+  m.select_micros.Add(sum.select_micros);
+  m.reconstruct_micros.Add(sum.reconstruct_micros);
+  m.prepare_micros.Add(sum.prepare_micros);
+  for (size_t p : active) {
+    partition_counters_[p]->Add(static_cast<double>(groups[p].size()));
   }
   return BatchOutput{std::move(results), engines_.size()};
 }
@@ -655,7 +601,7 @@ ExecuteResult ShardedEngine::MergeExecute(const QuerySpec& spec,
     // The merges that move data across partitions: the grouped merge is
     // select-side work (no tuple is reconstructed), the visit and
     // materialize merges reconstruct-side. One timer, charged once — to
-    // the result, cost_, and the registry alike.
+    // the result and the registry alike.
     Timer merge_timer;
     if (consume.kind == ConsumeKind::kGroupBy) {
       // The two-level merge: combine the per-partition partial tables on
@@ -700,15 +646,9 @@ ExecuteResult ShardedEngine::MergeExecute(const QuerySpec& spec,
     const bool select_side = consume.kind == ConsumeKind::kGroupBy;
     (select_side ? result.cost.select_micros
                  : result.cost.reconstruct_micros) += merge_elapsed;
-    std::lock_guard<std::mutex> lock(cost_mu_);
-    (select_side ? cost_.select_micros : cost_.reconstruct_micros) +=
-        merge_elapsed;
-    if (obs::MetricsEnabled()) {
-      pending_.dirty = true;
-      (select_side ? pending_.select_micros : pending_.reconstruct_micros) +=
-          merge_elapsed;
-      pending_.merge_micros += merge_elapsed;
-    }
+    EngineMetrics& m = Metrics();
+    (select_side ? m.select_micros : m.reconstruct_micros).Add(merge_elapsed);
+    m.merge_micros.Add(merge_elapsed);
   }
   if (trace != nullptr) {
     trace->AddSpan(obs::QueryTrace::kRootSpan, /*partition=*/-1, "merge",
@@ -729,12 +669,6 @@ std::vector<ExecuteResult> ShardedEngine::Execute(
         traces.empty() ? nullptr : traces[s], batch.num_partitions));
   }
   return results;
-}
-
-CostBreakdown ShardedEngine::CostSnapshot() const {
-  std::lock_guard<std::mutex> lock(cost_mu_);
-  FlushMetricsLocked();
-  return cost_;
 }
 
 }  // namespace crackdb

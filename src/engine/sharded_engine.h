@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -69,9 +68,6 @@ class ShardedEngine {
   ShardedEngine(const PartitionedRelation& relation, EngineFactory factory,
                 ThreadPool* pool = nullptr);
 
-  /// Drains any pending (batched) registry increments — see FlushMetrics.
-  ~ShardedEngine();
-
   std::string name() const;
 
   /// Executes `specs` as one scheduled batch (one lock acquisition per
@@ -110,21 +106,6 @@ class ShardedEngine {
   /// repartitioning must hold the relation's map gate (ExecuteBatch and
   /// HomePartition do); quiescent callers need nothing.
   std::vector<size_t> TargetPartitions(const QuerySpec& spec) const;
-
-  /// Thread-safe copy of the summed cost breakdown. Also drains pending
-  /// registry increments, so a snapshot point doubles as a metrics sync
-  /// point.
-  CostBreakdown CostSnapshot() const;
-
-  /// Drains the engine's batched registry increments into the global
-  /// MetricsRegistry. Per-batch counters accumulate as plain fields under
-  /// cost_mu_ (a lock every batch already takes) and flush every
-  /// kMetricsFlushBatches batches — plus here, in CostSnapshot, in
-  /// SpliceEngines, and at destruction — so the registry lags traffic by
-  /// at most a few dozen batches while the hot path pays ~zero atomics.
-  /// Readers that compare registry values against per-query costs
-  /// (system.metrics fills, the concurrency storm test) call this first.
-  void FlushMetrics() const;
 
   /// Points the execution path at a workload histogram: each partition
   /// group then charges its accesses/latency (and the organizing
@@ -189,7 +170,7 @@ class ShardedEngine {
   /// target partition, runs each partition's group as one affine task
   /// under a single partition-lock acquisition (materializing every
   /// declared projection — or, for scalar consumption, folding partials —
-  /// inside the lock), and sums the cost deltas into cost_. `consumes` is
+  /// inside the lock), and counts the batch into the registry. `consumes` is
   /// parallel to `specs`, as is `traces` when non-empty (null entries =
   /// untraced). Falls back to inline execution without a pool, with a
   /// single target group, or when called from a pool worker (an async
@@ -204,7 +185,7 @@ class ShardedEngine {
   /// partial tables, ForEach walks the per-partition columns through the
   /// visitor, Materialize concatenates them in partition order. Sums the
   /// per-shard cost attributions into the result's cost, charges the
-  /// merge's own time once (to the result, cost_, and the registry),
+  /// merge's own time once (to the result and the registry),
   /// stamps partitions_touched/pruned from `num_partitions`, and (when
   /// `trace` is non-null) records the merge span.
   ExecuteResult MergeExecute(const QuerySpec& spec, const ConsumeSpec& consume,
@@ -217,41 +198,17 @@ class ShardedEngine {
   /// exclusively-held map gate (readers hold it shared).
   void RefreshPartitionCounters();
 
-  /// Registry increments batched between flushes; guarded by cost_mu_.
-  /// Mutable (with FlushMetricsLocked const) so const snapshot paths can
-  /// drain it.
-  struct PendingMetrics {
-    bool dirty = false;  // anything below nonzero since the last flush
-    uint64_t batches = 0;
-    uint64_t subqueries = 0;
-    uint64_t groups = 0;
-    uint64_t pruned = 0;
-    double select_micros = 0.0;
-    double reconstruct_micros = 0.0;
-    double prepare_micros = 0.0;
-    double merge_micros = 0.0;
-    /// Sub-queries served per partition since the last flush; sized to
-    /// engines_.size() lazily (SpliceEngines flushes before indexes
-    /// shift, so entries never survive a partition-map change).
-    std::vector<uint64_t> per_partition;
-  };
-
-  /// FlushMetrics with cost_mu_ already held.
-  void FlushMetricsLocked() const;
-
   const PartitionedRelation* relation_;
   EngineFactory factory_;
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<obs::Counter*> partition_counters_;
   ThreadPool* pool_;
   WorkloadHistogram* histogram_ = nullptr;
-  mutable std::mutex cost_mu_;
-  /// Summed per-query cost attribution; guarded by cost_mu_.
-  CostBreakdown cost_;
-  mutable PendingMetrics pending_;
-  /// Batch sequence for the 1-in-64 sampling of the group-latency
-  /// histogram (engine_group_micros); relaxed — ordering is irrelevant.
-  std::atomic<uint64_t> group_seq_{0};
+  /// Written on every batch, so kept off the cache line of the read-mostly
+  /// members above, which every query reads. group_seq_ is the batch
+  /// sequence for the 1-in-64 sampling of the group-latency histogram
+  /// (engine_group_micros); relaxed — ordering is irrelevant.
+  alignas(64) std::atomic<uint64_t> group_seq_{0};
   std::atomic<uint64_t> encoded_queries_{0};
   std::atomic<uint64_t> crack_decompressions_{0};
 };

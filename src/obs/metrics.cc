@@ -1,6 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -165,84 +164,6 @@ std::string WithLabel(const std::string& base, const std::string& key,
 std::string WithLabel(const std::string& base, const std::string& key,
                       int64_t value) {
   return WithLabel(base, key, std::to_string(value));
-}
-
-namespace {
-
-// Split `base{labels}` into base and the inner label list (may be empty).
-void SplitLabels(const std::string& name, std::string* base,
-                 std::string* labels) {
-  const size_t brace = name.find('{');
-  if (brace == std::string::npos) {
-    *base = name;
-    labels->clear();
-  } else {
-    *base = name.substr(0, brace);
-    *labels = name.substr(brace + 1, name.size() - brace - 2);
-  }
-}
-
-void AppendNumber(std::string* out, double v) {
-  if (std::isinf(v)) {
-    *out += v > 0 ? "+Inf" : "-Inf";
-    return;
-  }
-  char buf[64];
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-  }
-  *out += buf;
-}
-
-}  // namespace
-
-std::string RenderMetricsText() {
-  const std::vector<MetricSample> samples =
-      MetricsRegistry::Global().Snapshot();
-  std::string out;
-  out.reserve(samples.size() * 64);
-  std::string last_typed_base;
-  for (const MetricSample& s : samples) {
-    std::string base, labels;
-    SplitLabels(s.name, &base, &labels);
-    if (base != last_typed_base) {
-      out += "# TYPE " + base + " ";
-      out += s.kind == MetricKind::kCounter   ? "counter"
-             : s.kind == MetricKind::kGauge   ? "gauge"
-                                              : "histogram";
-      out += "\n";
-      last_typed_base = base;
-    }
-    if (s.kind != MetricKind::kHistogram) {
-      out += s.name + " ";
-      AppendNumber(&out, s.value);
-      out += "\n";
-      continue;
-    }
-    const Histogram& h = MetricsRegistry::Global().GetHistogram(s.name);
-    for (size_t b = 0; b <= Histogram::kBuckets; ++b) {
-      out += base + "_bucket{";
-      if (!labels.empty()) out += labels + ",";
-      out += "le=\"";
-      AppendNumber(&out, Histogram::UpperBound(b));
-      out += "\"} ";
-      AppendNumber(&out, static_cast<double>(h.CumulativeCount(b)));
-      out += "\n";
-    }
-    out += base + "_sum";
-    if (!labels.empty()) out += "{" + labels + "}";
-    out += " ";
-    AppendNumber(&out, s.value);
-    out += "\n";
-    out += base + "_count";
-    if (!labels.empty()) out += "{" + labels + "}";
-    out += " ";
-    AppendNumber(&out, static_cast<double>(s.count));
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace crackdb::obs

@@ -52,11 +52,6 @@ class Counter {
     if (!MetricsEnabled()) return;
     AtomicAdd(value_, v);
   }
-  // Ungated add, for deferred-flush call sites (ShardedEngine accumulates
-  // under a lock it already holds and drains periodically): increments
-  // that were gathered while metrics were enabled must land even if the
-  // flag has been toggled off by flush time.
-  void AddAlways(double v) { AtomicAdd(value_, v); }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -106,7 +101,7 @@ class Histogram {
 
 enum class MetricKind : uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
 
-// One row of a registry snapshot (system.metrics / text exposition).
+// One row of a registry snapshot (the system.metrics view).
 struct MetricSample {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
@@ -144,9 +139,5 @@ std::string WithLabel(const std::string& base, const std::string& key,
                       const std::string& value);
 std::string WithLabel(const std::string& base, const std::string& key,
                       int64_t value);
-
-// Prometheus text exposition of the global registry: `# TYPE` lines,
-// counter/gauge samples, histogram `_bucket{le=...}`/`_sum`/`_count`.
-std::string RenderMetricsText();
 
 }  // namespace crackdb::obs
