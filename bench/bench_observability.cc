@@ -1,5 +1,6 @@
-// The cost of being observable: the same count/sum pushdown workload as
-// bench_query_api runs three ways — metrics registry disabled (the
+// The cost of being observable: a count/sum pushdown workload (a Count and
+// a Sum over 5%-selective ranges on the organizing attribute of a
+// range-sharded table) runs three ways — metrics registry disabled (the
 // pre-observability baseline arm), metrics enabled (the shipping
 // default), and metrics + per-query span tracing — plus a fourth arm
 // that queries the `system.*` introspection tables themselves. The bench

@@ -36,9 +36,6 @@ class TablePrinter {
 
 std::string Fmt(double v, int precision = 2);
 
-// Latency percentile rows are printed from crackdb::Summarize
-// (common/stats.h) — the repo's one series summarizer.
-
 /// One-line snapshot of the process-wide metrics registry, emitted at the
 /// end of every bench run so an overnight log carries the counters next
 /// to the figures: `# metrics name=value ...` for every non-zero counter

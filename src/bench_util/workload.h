@@ -52,7 +52,7 @@ struct SkewedRangeGen {
 /// the queries, and the window slides by `drift_step` of the domain every
 /// `queries_per_phase` calls (wrapping around), so any partition map tuned
 /// to the current hotspot goes stale a few thousand queries later. Used by
-/// bench_adaptive_repartition and bench_concurrent_throughput --drift.
+/// bench_adaptive_repartition.
 class DriftingHotspotGen {
  public:
   Value domain_lo = 1;

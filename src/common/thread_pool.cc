@@ -34,8 +34,7 @@ PoolMetrics& Metrics() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_threads, bool affine)
-    : affine_(affine), queues_(num_threads) {
+ThreadPool::ThreadPool(size_t num_threads) : queues_(num_threads) {
   workers_.reserve(num_threads);
   worker_tasks_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
@@ -73,7 +72,7 @@ std::future<void> ThreadPool::Submit(size_t affinity,
     return future;
   }
   const size_t home =
-      (affine_ && affinity != kNoAffinity)
+      affinity != kNoAffinity
           ? affinity % workers_.size()
           : round_robin_.fetch_add(1, std::memory_order_relaxed) %
                 workers_.size();

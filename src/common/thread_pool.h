@@ -38,17 +38,14 @@ class ThreadPool {
 
   /// Spawns `num_threads` workers. 0 is allowed and means "no workers":
   /// Submit still works (the task runs inline in the calling thread), which
-  /// gives single-threaded builds and tests one code path. `affine` = false
-  /// disables affinity routing (every Submit spreads round-robin) — the
-  /// control arm for the affinity on/off bench comparison.
-  explicit ThreadPool(size_t num_threads, bool affine = true);
+  /// gives single-threaded builds and tests one code path.
+  explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   size_t num_threads() const { return workers_.size(); }
-  bool affine() const { return affine_; }
 
   /// Enqueues `fn` on no particular worker; the future becomes ready when
   /// it has run. Exceptions propagate through the future.
@@ -81,7 +78,6 @@ class ThreadPool {
 
   void WorkerLoop(size_t worker_index);
 
-  const bool affine_;
   std::mutex mu_;
   std::condition_variable cv_;
   /// queues_[i] is worker i's queue; all guarded by mu_. pending_ counts

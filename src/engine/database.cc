@@ -109,7 +109,7 @@ Database::Database(DatabaseOptions options) {
     threads = std::thread::hardware_concurrency();
   }
   if (threads > 0) {
-    pool_ = std::make_unique<ThreadPool>(threads, options.affine_scheduling);
+    pool_ = std::make_unique<ThreadPool>(threads);
   }
   // Register the system.* schemas as empty marker relations:
   // catalog().relation("system.metrics").column_names() is the schema

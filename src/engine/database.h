@@ -35,16 +35,12 @@ struct DatabaseOptions {
   /// Workers in the shared fan-out pool. kPoolAuto = hardware concurrency;
   /// 0 = no pool, partition sub-queries run sequentially on the client
   /// thread — the throughput-serving configuration where many client
-  /// threads are themselves the parallelism (see bench_concurrent_
-  /// throughput).
+  /// threads are themselves the parallelism (crackbench's serve-rw).
+  /// Scheduling is partition-affine: partition p's sub-query groups (and
+  /// async queries whose home partition is p) go to pool worker
+  /// p % pool_threads, so a partition's cracked structures stay core-local
+  /// across queries.
   size_t pool_threads = kPoolAuto;
-
-  /// Partition-affine scheduling: partition p's sub-query groups (and
-  /// async queries whose home partition is p) are routed to pool worker
-  /// p % pool_threads, so a partition's cracked structures stay core-
-  /// local across queries. Off = round-robin spreading (the bench's
-  /// control arm). Ignored without a pool.
-  bool affine_scheduling = true;
 };
 
 /// One write of a mixed Insert/Delete batch (Database::ApplyBatch).

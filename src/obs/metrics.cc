@@ -1,10 +1,8 @@
 #include "obs/metrics.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <limits>
 #include <map>
 #include <mutex>
 
@@ -22,29 +20,9 @@ bool MetricsEnabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void Histogram::Observe(double v) {
   if (!MetricsEnabled()) return;
-  size_t b = 0;
-  double bound = 1.0;
-  while (b < kBuckets && v > bound) {
-    bound *= 2.0;
-    ++b;
-  }
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   AtomicAdd(sum_, v);
   AtomicMax(max_, v);
-}
-
-uint64_t Histogram::CumulativeCount(size_t bucket) const {
-  uint64_t total = 0;
-  for (size_t b = 0; b <= bucket && b <= kBuckets; ++b) {
-    total += buckets_[b].load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Histogram::UpperBound(size_t bucket) {
-  if (bucket >= kBuckets) return std::numeric_limits<double>::infinity();
-  return std::ldexp(1.0, static_cast<int>(bucket));  // 2^bucket
 }
 
 struct MetricsRegistry::Impl {

@@ -75,25 +75,18 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Histogram over power-of-two buckets: bucket i counts observations
-// <= 2^i (micros-scale by convention), with a +Inf tail, plus exact
-// count/sum/max. Good to ~2x relative error on quantiles, which is all a
-// latency histogram needs; the exact sum keeps mean and totals precise.
+// Histogram of observations (micros by convention) kept as exact
+// count/sum/max: system.metrics shows those three, and the sum keeps mean
+// and totals precise.
 class Histogram {
  public:
-  static constexpr size_t kBuckets = 28;  // 2^27 us ≈ 134 s tail start
-
   void Observe(double v);
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   double max() const { return max_.load(std::memory_order_relaxed); }
-  // Cumulative count of observations <= UpperBound(i).
-  uint64_t CumulativeCount(size_t bucket) const;
-  static double UpperBound(size_t bucket);  // +Inf for the last bucket
 
  private:
-  std::atomic<uint64_t> buckets_[kBuckets + 1] = {};
   std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> max_{0.0};

@@ -97,12 +97,18 @@ TEST_P(BatchAsyncTest, ExecuteBatchRowForRowEqualsExecuteLoop) {
     const std::vector<Expected<ExecuteResult>> batched =
         batch_db->ExecuteBatch(queries);
     ASSERT_EQ(batched.size(), queries.size());
+    PlainEngine reference(*source_);
     for (size_t q = 0; q < queries.size(); ++q) {
       const Expected<ExecuteResult> looped = loop_db->Execute(queries[q]);
       EXPECT_EQ(Rows(batched[q]).num_rows, Rows(looped).num_rows)
           << "query " << q;
       EXPECT_EQ(Rows(batched[q]).columns, Rows(looped).columns)
           << "row-for-row divergence at query " << q << " (pool=" << pool
+          << ")";
+      // And both equal a plain scan, as a multiset.
+      EXPECT_EQ(ZipRows(Rows(batched[q])),
+                ZipRows(reference.Run(queries[q].spec)))
+          << "batched query " << q << " diverges from plain (pool=" << pool
           << ")";
     }
 

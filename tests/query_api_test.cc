@@ -580,7 +580,8 @@ TEST_F(QueryApiTest, CountAndAggregatesEqualOracleAcrossKinds) {
                                         .Where(AttrName(1), lo, hi)
                                         .Project(AttrName(2))
                                         .Spec();
-      const Fold expect = FoldColumn(oracle.Run(oracle_spec).columns[0]);
+      const QueryResult oracle_rows = oracle.Run(oracle_spec);
+      const Fold expect = FoldColumn(oracle_rows.columns[0]);
 
       // Unsharded engine-level Execute.
       {
@@ -599,8 +600,17 @@ TEST_F(QueryApiTest, CountAndAggregatesEqualOracleAcrossKinds) {
           EXPECT_EQ(s.aggregate, expect.sum) << kind.name << " sum, q" << q;
         }
       }
-      // Sharded Database-level Execute, all three ops.
+      // Sharded Database-level Execute: the materialized rows the fold
+      // reads, then all three ops.
       {
+        auto rows = db->From("R")
+                        .Where(AttrName(1), lo, hi)
+                        .Project(AttrName(2))
+                        .Execute();
+        ASSERT_TRUE(rows.ok()) << rows.error();
+        EXPECT_EQ(ZipRows(rows->rows), ZipRows(oracle_rows))
+            << kind.name << " db rows, q" << q;
+
         auto n = db->From("R").Where(AttrName(1), lo, hi).Count().Execute();
         ASSERT_TRUE(n.ok()) << n.error();
         EXPECT_EQ(n->count, expect.count) << kind.name << " db count";

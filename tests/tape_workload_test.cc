@@ -5,7 +5,6 @@
 #include "bench_util/runner.h"
 #include "bench_util/workload.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "core/tape.h"
 #include "engine/plain_engine.h"
 #include "engine/sideways_engine.h"
@@ -55,17 +54,6 @@ TEST(RngTest, DeterministicAndInRange) {
   }
   Rng c(124);
   EXPECT_NE(a.Next(), c.Next());
-}
-
-TEST(StatsTest, SummarizeBasics) {
-  const SeriesSummary s = Summarize({3, 1, 2, 5, 4});
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.total, 15);
-  EXPECT_DOUBLE_EQ(s.mean, 3);
-  EXPECT_DOUBLE_EQ(s.min, 1);
-  EXPECT_DOUBLE_EQ(s.max, 5);
-  EXPECT_DOUBLE_EQ(s.median, 3);
-  EXPECT_EQ(Summarize({}).count, 0u);
 }
 
 TEST(WorkloadTest, UniformRelationShape) {

@@ -76,18 +76,6 @@ TEST(ThreadPoolTest, IdleWorkersStealFromALoadedHomeQueue) {
                              "stealing is broken";
 }
 
-TEST(ThreadPoolTest, NonAffineModeStillRunsEverything) {
-  ThreadPool pool(2, /*affine=*/false);
-  EXPECT_FALSE(pool.affine());
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (size_t i = 0; i < 32; ++i) {
-    futures.push_back(pool.Submit(7, [&ran] { ++ran; }));
-  }
-  for (std::future<void>& future : futures) future.get();
-  EXPECT_EQ(ran.load(), 32);
-}
-
 TEST(ThreadPoolTest, ZeroWorkersRunInlineIncludingAffineSubmit) {
   ThreadPool pool(0);
   int ran = 0;
