@@ -8,13 +8,9 @@
 #include <vector>
 
 #include "bench_util/workload.h"
-#include "common/rng.h"
 #include "engine/engine.h"
 #include "engine/engine_factory.h"
-#include "engine/partial_engine.h"
 #include "engine/query.h"
-#include "engine/sideways_engine.h"
-#include "storage/relation.h"
 
 namespace crackdb::bench {
 
@@ -32,62 +28,6 @@ inline QuerySpec SelectProject(
   }
   builder.Project(std::move(projections));
   return builder.Spec();
-}
-
-/// The engine-kind table and factory moved into the library
-/// (engine/engine_factory.h) so the sharded execution layer can stamp out
-/// per-partition engines; the bench binaries keep their historical
-/// unqualified spellings.
-using ::crackdb::EngineKindEntry;
-using ::crackdb::kEngineKinds;
-using ::crackdb::MakeEngine;
-using ::crackdb::MakeEngineFactory;
-
-/// The Section 4.2 workload: an 11-attribute relation and five query types
-///   (Qi) select Ci from R where v1 < A < v2 and v3 < Bi < v4
-/// sharing the head attribute A=A1 but touching different Bi (A2..A6) and
-/// Ci (A7..A11), run in batches per type. Each query selects a random
-/// range of `result_rows` tuples on A.
-struct QiWorkload {
-  Value domain = 10'000'000;
-  size_t rows = 0;
-  size_t result_rows = 0;
-  bool skewed = false;          // Figure 10(b): 9/10 queries in 20% of domain
-  double hot_fraction = 0.2;
-
-  QuerySpec Make(size_t type, Rng* rng) const {
-    const double fraction =
-        static_cast<double>(result_rows) / static_cast<double>(rows);
-    RangePredicate head;
-    if (skewed) {
-      bench::SkewedRangeGen gen;
-      gen.domain_lo = 1;
-      gen.domain_hi = domain;
-      gen.hot_fraction = hot_fraction;
-      gen.hot_probability = 0.9;
-      gen.selectivity = fraction;
-      head = gen.Next(rng);
-    } else {
-      head = bench::RandomRange(rng, 1, domain, fraction);
-    }
-    return SelectProject(
-        {{bench::AttrName(1), head},
-         {bench::AttrName(2 + type), bench::RandomRange(rng, 1, domain, 0.5)}},
-        {bench::AttrName(7 + type)});
-  }
-};
-
-/// Auxiliary-structure storage in tuples for the engines the Section 4.2
-/// figures track.
-inline size_t AuxStorageTuples(const Engine& engine) {
-  if (const auto* full = dynamic_cast<const SidewaysEngine*>(&engine)) {
-    return full->MapStorageTuples();
-  }
-  if (const auto* partial =
-          dynamic_cast<const PartialSidewaysEngine*>(&engine)) {
-    return partial->ChunkStorageTuples();
-  }
-  return 0;
 }
 
 }  // namespace crackdb::bench

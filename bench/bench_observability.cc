@@ -116,14 +116,6 @@ double RunPass(Database* db, Arm arm,
   return static_cast<double>(2 * kPassLoops * preds.size()) / elapsed;
 }
 
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n == 0 ? 0.0
-         : n % 2 == 1 ? v[n / 2]
-                      : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
 /// All three arms measured over one warmed database apiece, with the
 /// timed passes *interleaved* round-robin (off, on, traced, off, on, ...).
 /// Sequential per-arm measurement is the naive design — on a busy CI box,
@@ -143,27 +135,18 @@ void RunArms(const Relation& source, const std::vector<RangePredicate>& preds,
     db_opt.pool_threads = 0;
     dbs.push_back(std::make_unique<Database>(db_opt));
     dbs.back()->RegisterSharded("R", source, MakeSpec(), "sideways");
-    // Untimed warmup: the crackers converge on the arm's own predicates.
-    ArmResult scratch;
-    (void)RunPass(dbs.back().get(), kArms[a], preds, &scratch);
   }
-  std::vector<double> on_ratios, traced_ratios;
-  on_ratios.reserve(reps);
-  traced_ratios.reserve(reps);
-  for (size_t rep = 0; rep < reps; ++rep) {
-    double qps[3];
-    // Rotate the within-rep arm order so slot effects (an arm always
-    // running right after the slow traced pass, say) cancel across reps.
-    for (int slot = 0; slot < 3; ++slot) {
-      const int a = static_cast<int>((rep + slot) % 3);
-      qps[a] = RunPass(dbs[a].get(), kArms[a], preds, &arms[a]);
-      if (arms[a].qps < qps[a]) arms[a].qps = qps[a];
-    }
-    on_ratios.push_back(qps[1] / qps[0]);
-    traced_ratios.push_back(qps[2] / qps[0]);
+  // The untimed warm round lets the crackers converge on the arm's own
+  // predicates; RunInterleaved rotates the arm order across reps.
+  const std::vector<std::vector<double>> qps =
+      RunInterleaved(3, 1, reps, [&](size_t a) {
+        return RunPass(dbs[a].get(), kArms[a], preds, &arms[a]);
+      });
+  for (const std::vector<double>& rep : qps) {
+    for (int a = 0; a < 3; ++a) arms[a].qps = std::max(arms[a].qps, rep[a]);
   }
-  *on_ratio = Median(std::move(on_ratios));
-  *traced_ratio = Median(std::move(traced_ratios));
+  *on_ratio = MedianRatio(qps, 1, 0);
+  *traced_ratio = MedianRatio(qps, 2, 0);
 }
 
 /// Cost of introspection itself: point and filtered counts against

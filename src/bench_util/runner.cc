@@ -7,15 +7,14 @@
 
 #include "bench_util/report.h"
 #include "common/timer.h"
-#include "engine/operators.h"
 
 namespace crackdb::bench {
 
-RunOutcome RunTimed(Engine* engine, const QuerySpec& spec, bool keep_result) {
+RunOutcome RunTimed(Engine* engine, const QuerySpec& spec) {
   RunOutcome outcome;
   const CostBreakdown before = engine->cost();
   Timer timer;
-  QueryResult result = engine->Run(spec);
+  outcome.result = engine->Run(spec);
   // One-off physical-design preparation (presorting) is reported separately
   // from query response time, as throughout the paper's figures.
   const double prepare_delta =
@@ -25,12 +24,41 @@ RunOutcome RunTimed(Engine* engine, const QuerySpec& spec, bool keep_result) {
                                  before.select_micros - prepare_delta;
   outcome.timing.reconstruct_micros =
       engine->cost().reconstruct_micros - before.reconstruct_micros;
-  outcome.column_max.reserve(result.columns.size());
-  for (const std::vector<Value>& col : result.columns) {
-    outcome.column_max.push_back(MaxOf(col));
-  }
-  if (keep_result) outcome.result = std::move(result);
   return outcome;
+}
+
+std::vector<std::vector<double>> RunInterleaved(
+    size_t arms, size_t warm_rounds, size_t rounds,
+    const std::function<double(size_t arm)>& run) {
+  for (size_t w = 0; w < warm_rounds; ++w) {
+    for (size_t a = 0; a < arms; ++a) (void)run(a);
+  }
+  std::vector<std::vector<double>> m(rounds, std::vector<double>(arms));
+  for (size_t r = 0; r < rounds; ++r) {
+    for (size_t slot = 0; slot < arms; ++slot) {
+      const size_t a = (r + slot) % arms;
+      m[r][a] = run(a);
+    }
+  }
+  return m;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n == 0 ? 0.0
+         : n % 2 == 1 ? v[n / 2]
+                      : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+double MedianRatio(const std::vector<std::vector<double>>& m, size_t num,
+                   size_t den) {
+  std::vector<double> ratios;
+  ratios.reserve(m.size());
+  for (const std::vector<double>& round : m) {
+    ratios.push_back(round[num] / round[den]);
+  }
+  return Median(std::move(ratios));
 }
 
 namespace {

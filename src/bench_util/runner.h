@@ -19,16 +19,28 @@ struct QueryTiming {
 };
 
 /// Runs `spec` on `engine`, returning timing plus the result (for
-/// cross-engine verification). Aggregate results are summed per column to
-/// avoid holding large materializations when `aggregate_only` is set.
+/// cross-engine verification).
 struct RunOutcome {
   QueryTiming timing;
   QueryResult result;
-  /// Per-projection max aggregate (the experiments' q1/q3 shape).
-  std::vector<Value> column_max;
 };
-RunOutcome RunTimed(Engine* engine, const QuerySpec& spec,
-                    bool keep_result = false);
+RunOutcome RunTimed(Engine* engine, const QuerySpec& spec);
+
+/// Interleaved measurement of competing arms. After `warm_rounds` untimed
+/// rounds, each of `rounds` rounds calls `run(arm)` once per arm and keeps
+/// what it returns. The arm order rotates by one per round, so no arm
+/// always runs first or after the same neighbour, and a slow host phase
+/// lands on every arm alike. Returns m[round][arm].
+std::vector<std::vector<double>> RunInterleaved(
+    size_t arms, size_t warm_rounds, size_t rounds,
+    const std::function<double(size_t arm)>& run);
+
+/// Median of `v`; 0 when empty.
+double Median(std::vector<double> v);
+
+/// Median over rounds of the paired ratio m[round][num] / m[round][den].
+double MedianRatio(const std::vector<std::vector<double>>& m, size_t num,
+                   size_t den);
 
 /// One row of the generated `--help` flags table. Binaries with flags
 /// beyond the standard set pass a BenchFlag span to Parse: `name` is the

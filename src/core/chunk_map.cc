@@ -45,7 +45,7 @@ void ChunkMap::ReleaseArea(ChunkMapArea& area) {
   if (--area.refs == 0) {
     // Last chunk gone: drain remaining tape knowledge into the store, then
     // remove the tape and mark unfetched (paper Section 4.1). Interior
-    // splits remain — the learning is retained, lazy-deletion style.
+    // splits remain — the learning is retained.
     AlignArea(area);
     area.tape.Clear();
     area.h_cursor = 0;

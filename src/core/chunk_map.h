@@ -97,7 +97,7 @@ class ChunkMap {
   /// Releases one chunk reference. When the last chunk of an area is
   /// dropped the area is marked unfetched again and its tape is removed
   /// (Section 4.1): pending tape knowledge is drained into the store
-  /// first, interior splits persist as lazily retained knowledge.
+  /// first, interior splits persist as retained knowledge.
   void ReleaseArea(ChunkMapArea& area);
 
   /// Area containing value `v` (for update routing).

@@ -9,10 +9,7 @@ namespace crackdb {
 
 struct CrackerIndex::Node {
   Bound bound;
-  // Dead data while `deleted`: AddSplit overwrites it on revival and no
-  // lookup reads it before, so the Ripple walks leave it alone.
   size_t pos = 0;
-  bool deleted = false;
   int height = 1;
   std::unique_ptr<Node> left;
   std::unique_ptr<Node> right;
@@ -64,22 +61,19 @@ void Rebalance(std::unique_ptr<Node>& n) {
   }
 }
 
-/// Inserts (or revives/updates) `bound` -> `pos`. Returns true if a new
-/// node was allocated.
-bool Insert(std::unique_ptr<Node>& n, const Bound& bound, size_t pos,
-            bool* revived) {
+/// Inserts (or updates) `bound` -> `pos`. Returns true if a new node was
+/// allocated.
+bool Insert(std::unique_ptr<Node>& n, const Bound& bound, size_t pos) {
   if (!n) {
     n = std::make_unique<Node>(bound, pos);
     return true;
   }
   bool allocated = false;
   if (BoundLess(bound, n->bound)) {
-    allocated = Insert(n->left, bound, pos, revived);
+    allocated = Insert(n->left, bound, pos);
   } else if (BoundLess(n->bound, bound)) {
-    allocated = Insert(n->right, bound, pos, revived);
+    allocated = Insert(n->right, bound, pos);
   } else {
-    *revived = n->deleted;
-    n->deleted = false;
     n->pos = pos;
     return false;
   }
@@ -100,36 +94,20 @@ const Node* Find(const Node* n, const Bound& bound) {
   return nullptr;
 }
 
-// The lookups below want the nearest *live* node. A lazily-deleted node on
-// the search path can hide it in the subtree the plain descent skips, so
-// each falls back to the nearest live node of that subtree.
-
-const Node* FirstLive(const Node* n) {
-  if (n == nullptr) return nullptr;
-  if (const Node* l = FirstLive(n->left.get())) return l;
-  return n->deleted ? FirstLive(n->right.get()) : n;
-}
-
-const Node* LastLive(const Node* n) {
-  if (n == nullptr) return nullptr;
-  if (const Node* r = LastLive(n->right.get())) return r;
-  return n->deleted ? LastLive(n->left.get()) : n;
-}
-
-/// Greatest live node with node->bound <= bound (i.e., not greater).
+/// Greatest node with node->bound <= bound (i.e., not greater).
 const Node* FloorNode(const Node* n, const Bound& bound) {
   if (n == nullptr) return nullptr;
   if (BoundLess(bound, n->bound)) return FloorNode(n->left.get(), bound);
   if (const Node* r = FloorNode(n->right.get(), bound)) return r;
-  return n->deleted ? LastLive(n->left.get()) : n;
+  return n;
 }
 
-/// Smallest live node with bound < node->bound (strictly greater).
+/// Smallest node with bound < node->bound (strictly greater).
 const Node* CeilAboveNode(const Node* n, const Bound& bound) {
   if (n == nullptr) return nullptr;
   if (!BoundLess(bound, n->bound)) return CeilAboveNode(n->right.get(), bound);
   if (const Node* l = CeilAboveNode(n->left.get(), bound)) return l;
-  return n->deleted ? FirstLive(n->right.get()) : n;
+  return n;
 }
 
 template <typename NodeT, typename Fn>
@@ -174,12 +152,11 @@ void DescendAbove(Node* n, const Bound& cut, Fn& fn) {
   }
 }
 
-/// Calls `fn` on every piece in value order; deleted splits are invisible.
+/// Calls `fn` on every piece in value order.
 template <typename Fn>
 void ForEachPiece(const Node* root, size_t store_size, Fn fn) {
   CrackerIndex::Piece current;
   auto visit = [&](const Node* n) {
-    if (n->deleted) return;
     current.end = n->pos;
     current.upper = n->bound;
     current.has_upper = true;
@@ -192,13 +169,6 @@ void ForEachPiece(const Node* root, size_t store_size, Fn fn) {
   InOrder<const Node>(root, visit);
   current.end = store_size;
   fn(current);
-}
-
-void MarkDeletedRec(Node* n) {
-  if (n == nullptr) return;
-  MarkDeletedRec(n->left.get());
-  n->deleted = true;
-  MarkDeletedRec(n->right.get());
 }
 
 }  // namespace
@@ -221,19 +191,12 @@ CrackerIndex::CrackerIndex(CrackerIndex&&) noexcept = default;
 CrackerIndex& CrackerIndex::operator=(CrackerIndex&&) noexcept = default;
 
 void CrackerIndex::AddSplit(const Bound& bound, size_t pos) {
-  bool revived = false;
-  const bool allocated = Insert(root_, bound, pos, &revived);
-  if (allocated) {
-    ++num_nodes_;
-    ++num_live_;
-  } else if (revived) {
-    ++num_live_;
-  }
+  if (Insert(root_, bound, pos)) ++num_splits_;
 }
 
 std::optional<size_t> CrackerIndex::FindSplit(const Bound& bound) const {
   const Node* n = Find(root_.get(), bound);
-  if (n == nullptr || n->deleted) return std::nullopt;
+  if (n == nullptr) return std::nullopt;
   return n->pos;
 }
 
@@ -271,7 +234,7 @@ PositionRange CrackerIndex::FindArea(const RangePredicate& pred,
   if (pred.high != kMaxValue) {
     const Bound b{pred.high, !pred.high_inclusive};
     const Node* hi = Find(root_.get(), b);
-    if (hi == nullptr || hi->deleted) hi = CeilAboveNode(root_.get(), b);
+    if (hi == nullptr) hi = CeilAboveNode(root_.get(), b);
     if (hi != nullptr) end = hi->pos;
   }
   if (begin > end) begin = end;
@@ -281,7 +244,7 @@ PositionRange CrackerIndex::FindArea(const RangePredicate& pred,
 std::vector<CrackerIndex::Piece> CrackerIndex::Pieces(
     size_t store_size) const {
   std::vector<Piece> pieces;
-  pieces.reserve(num_live_ + 1);
+  pieces.reserve(num_splits_ + 1);
   ForEachPiece(root_.get(), store_size,
                [&](const Piece& p) { pieces.push_back(p); });
   return pieces;
@@ -343,7 +306,6 @@ size_t CrackerIndex::RippleUp(CrackPairs& store, const Bound& cut) {
   // hands it its first entry, an empty one leaves it in place.
   size_t hole = store.size() - 1;
   auto step = [&](Node* n) {
-    if (n->deleted) return;
     if (n->pos < hole) store.MoveEntry(n->pos, hole);
     hole = n->pos++;
   };
@@ -359,9 +321,7 @@ size_t CrackerIndex::RippleDown(CrackPairs& store, const Bound& cut,
     if (end - 1 > hole) store.MoveEntry(end - 1, hole);
     hole = end - 1;
   };
-  auto step = [&](Node* n) {
-    if (!n->deleted) close_piece(n->pos--);
-  };
+  auto step = [&](Node* n) { close_piece(n->pos--); };
   AscendAbove(root_.get(), cut, step);
   close_piece(store.size());
   return hole;
@@ -369,10 +329,8 @@ size_t CrackerIndex::RippleDown(CrackPairs& store, const Bound& cut,
 
 std::vector<std::pair<Bound, size_t>> CrackerIndex::LiveSplits() const {
   std::vector<std::pair<Bound, size_t>> splits;
-  splits.reserve(num_live_);
-  auto visit = [&](const Node* n) {
-    if (!n->deleted) splits.emplace_back(n->bound, n->pos);
-  };
+  splits.reserve(num_splits_);
+  auto visit = [&](const Node* n) { splits.emplace_back(n->bound, n->pos); };
   InOrder<const Node>(root_.get(), visit);
   return splits;
 }
@@ -381,11 +339,6 @@ CrackerIndex CrackerIndex::CloneLive() const {
   CrackerIndex clone;
   for (const auto& [bound, pos] : LiveSplits()) clone.AddSplit(bound, pos);
   return clone;
-}
-
-void CrackerIndex::MarkAllDeleted() {
-  MarkDeletedRec(root_.get());
-  num_live_ = 0;
 }
 
 }  // namespace crackdb

@@ -31,11 +31,6 @@ inline bool SatisfiesBound(const Bound& b, Value v) {
 /// store (paper Section 2.2). Between two adjacent splits lies one *piece*
 /// whose value range is known exactly — which is why the paper can read the
 /// index as a self-organizing histogram (Section 3.3).
-///
-/// Nodes support *lazy deletion* (Section 4.1, "Storage Management"): when
-/// a chunk or map is dropped its splits are only marked deleted, so that a
-/// later recreation replaying the same crack history revives them without
-/// re-allocating tree structure.
 class CrackerIndex {
  public:
   /// One piece of the cracked store: positions [begin, end). `lower` /
@@ -67,20 +62,19 @@ class CrackerIndex {
   CrackerIndex(const CrackerIndex&) = delete;
   CrackerIndex& operator=(const CrackerIndex&) = delete;
 
-  bool empty() const { return num_live_ == 0; }
+  bool empty() const { return num_splits_ == 0; }
 
-  /// Number of live (non-lazily-deleted) splits.
-  size_t num_splits() const { return num_live_; }
+  size_t num_splits() const { return num_splits_; }
 
-  /// Registers that the upper piece for `bound` starts at `pos`. If a
-  /// lazily-deleted node with this bound exists it is revived in place.
+  /// Registers that the upper piece for `bound` starts at `pos`; an
+  /// existing split with this bound moves to `pos`.
   void AddSplit(const Bound& bound, size_t pos);
 
-  /// Position of the live split with exactly this bound, if present.
+  /// Position of the split with exactly this bound, if present.
   std::optional<size_t> FindSplit(const Bound& bound) const;
 
   /// The piece into which `bound` falls, i.e., the gap between the greatest
-  /// live split <= bound and the smallest live split > bound.
+  /// split <= bound and the smallest split > bound.
   /// `store_size` caps the final piece.
   Piece FindPiece(const Bound& bound, size_t store_size) const;
 
@@ -89,7 +83,7 @@ class CrackerIndex {
   /// values beyond pred.high's on the right, to split precision.)
   PositionRange FindArea(const RangePredicate& pred, size_t store_size) const;
 
-  /// All pieces, in value order. Deleted splits are invisible.
+  /// All pieces, in value order.
   std::vector<Piece> Pieces(size_t store_size) const;
 
   /// Self-organizing histogram: bounds and an interpolated estimate of the
@@ -98,7 +92,7 @@ class CrackerIndex {
   Estimate EstimateMatches(const RangePredicate& pred, size_t store_size) const;
 
   /// Ripple walks (paper [8]; src/updates/ripple.h builds insert and
-  /// delete from them). Each visits only the live splits strictly above
+  /// delete from them). Each visits only the splits strictly above
   /// `cut`, moving one entry per non-empty piece and shifting each split by
   /// one position in the same pass: O(log n + splits above `cut`), no
   /// allocation.
@@ -117,29 +111,20 @@ class CrackerIndex {
   /// `store.size() - 1`.
   size_t RippleDown(CrackPairs& store, const Bound& cut, size_t hole);
 
-  /// All live splits in cut order as (bound, position) pairs. Chunk
+  /// All splits in cut order as (bound, position) pairs. Chunk
   /// creation clones an area's index through this so that replayed cracks
   /// see identical index states (the precondition for layout determinism).
   std::vector<std::pair<Bound, size_t>> LiveSplits() const;
 
-  /// Exact deep copy of the live splits (lazily-deleted nodes are not
-  /// carried over).
+  /// Exact copy of the splits.
   CrackerIndex CloneLive() const;
-
-  /// Lazily deletes every split (dropping a chunk/map). The structure is
-  /// retained; AddSplit revives matching nodes.
-  void MarkAllDeleted();
-
-  /// Total node count including lazily deleted ones (for tests/metrics).
-  size_t num_nodes() const { return num_nodes_; }
 
   /// AVL node; public only so implementation helpers can name it.
   struct Node;
 
  private:
   std::unique_ptr<Node> root_;
-  size_t num_live_ = 0;
-  size_t num_nodes_ = 0;
+  size_t num_splits_ = 0;
 };
 
 }  // namespace crackdb

@@ -1,6 +1,6 @@
 // Build-level sanity: every engine kind the bench factory knows must
 // construct and answer the same range query with identical rows. Guards the
-// bench/ <-> src/ seam the figure binaries stand on.
+// bench/ <-> src/ seam the paper-figure driver stands on.
 
 #include "bench_common.h"
 

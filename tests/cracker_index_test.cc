@@ -153,67 +153,6 @@ TEST(CrackerIndexTest, RippleDownClosesTheHoleUpward) {
   EXPECT_EQ(index.FindSplit(Bound{20, true}).value(), 4u);
 }
 
-TEST(CrackerIndexTest, RippleWalksSkipDeletedSplitsAndRevivalResetsThem) {
-  CrackPairs store;
-  CrackerIndex index;
-  MakeRippleFixture(&store, &index);
-  index.MarkAllDeleted();
-  // With every split deleted the store is one piece: nothing moves.
-  store.PushBack(0, 0);
-  EXPECT_EQ(index.RippleUp(store, Bound{3, true}), 6u);
-  store.SetEntry(6, 3, 30);
-  EXPECT_EQ(index.RippleDown(store, Bound{2, true}, 1), 6u);
-  store.PopBack();
-  EXPECT_EQ(store.head, (std::vector<Value>{1, 3, 12, 13, 17, 25}));
-  // Revival takes the caller's position; the walks then move it.
-  index.AddSplit(Bound{15, true}, 4);
-  EXPECT_EQ(index.num_nodes(), 4u);
-  store.PushBack(0, 0);
-  EXPECT_EQ(index.RippleUp(store, Bound{5, true}), 4u);
-  EXPECT_EQ(index.FindSplit(Bound{15, true}).value(), 5u);
-  EXPECT_FALSE(index.FindSplit(Bound{20, true}).has_value());
-}
-
-TEST(CrackerIndexTest, LazyDeletionAndRevival) {
-  CrackerIndex index;
-  index.AddSplit(Bound{10, true}, 30);
-  index.AddSplit(Bound{20, true}, 60);
-  index.MarkAllDeleted();
-  EXPECT_TRUE(index.empty());
-  EXPECT_EQ(index.num_nodes(), 2u);
-  EXPECT_FALSE(index.FindSplit(Bound{10, true}).has_value());
-  // Deleted splits are invisible to piece queries.
-  const auto piece = index.FindPiece(Bound{15, true}, 100);
-  EXPECT_EQ(piece.begin, 0u);
-  EXPECT_EQ(piece.end, 100u);
-  // Re-adding revives in place without allocating.
-  index.AddSplit(Bound{10, true}, 35);
-  EXPECT_EQ(index.num_nodes(), 2u);
-  EXPECT_EQ(index.num_splits(), 1u);
-  EXPECT_EQ(index.FindSplit(Bound{10, true}).value(), 35u);
-}
-
-TEST(CrackerIndexTest, LookupsSeeLiveSplitsUnderDeletedNodes) {
-  CrackerIndex index;
-  index.AddSplit(Bound{10, true}, 30);
-  index.AddSplit(Bound{20, true}, 60);  // the AVL root
-  index.AddSplit(Bound{30, true}, 80);
-  index.MarkAllDeleted();
-  index.AddSplit(Bound{10, true}, 30);
-  index.AddSplit(Bound{30, true}, 80);
-  // The deleted root sits between the two live splits on either descent.
-  const auto above = index.FindPiece(Bound{25, true}, 100);
-  EXPECT_EQ(above.begin, 30u);
-  EXPECT_EQ(above.end, 80u);
-  const auto below = index.FindPiece(Bound{15, true}, 100);
-  EXPECT_EQ(below.begin, 30u);
-  EXPECT_EQ(below.end, 80u);
-  const PositionRange area =
-      index.FindArea(RangePredicate::Closed(12, 18), 100);
-  EXPECT_EQ(area.begin, 30u);
-  EXPECT_EQ(area.end, 80u);
-}
-
 TEST(CrackerIndexTest, LiveSplitsAndClone) {
   CrackerIndex index;
   index.AddSplit(Bound{20, false}, 60);
