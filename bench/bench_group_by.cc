@@ -3,13 +3,16 @@
 // Project(key, value) + client-side GroupBySpans/GroupedSum (the control
 // arm, exactly what every caller had to do before the GroupBy terminal
 // existed) and GroupBy(key).Aggregate(...) (the pushdown, a per-partition
-// open-addressing hash aggregation under each partition's lock followed by
-// a partial-table merge on the caller thread). The control arm copies
+// GroupAccumulator under each partition's lock followed by a partial-table
+// merge on the caller thread). Dense group keys (1..16/256/4096) take the
+// accumulator's flat-array path; a sparse column of 256 keys spread over
+// the whole Value range keeps its hash path measured. The control arm copies
 // every qualifying key and value across the partition merge; the pushdown
 // moves only group-count-sized partial tables, so the gap widens with both
 // selectivity and row count.
 //
-//   ./bench_group_by                     # sel 1,5,10,20% x groups 16,256,4096
+//   ./bench_group_by                     # sel 1,5,10,20% x groups 16,256,4096,
+//                                        #   256 sparse
 //   ./bench_group_by --engine=partial --sel=10 --groups=256
 //   ./bench_group_by --smoke             # CI fast path
 //
@@ -22,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,9 +48,24 @@ namespace {
 
 constexpr Value kDomain = 10'000'000;
 
-// Group-key columns baked into the relation, one per sweep cardinality:
-// A3 has 16 distinct values, A4 has 256, A5 has 4096.
-constexpr size_t kGroupCards[] = {16, 256, 4096};
+// Group-key columns baked into the relation, A3 onwards. The dense ones
+// draw 1..card (A3: 16, A4: 256, A5: 4096); the sparse one (A6) draws 256
+// keys i * 0x0101010101010101 spread over the whole Value range, so its
+// key span defeats the accumulator's dense path.
+struct GroupColumn {
+  size_t card;
+  bool sparse;
+};
+constexpr GroupColumn kGroupColumns[] = {
+    {16, false}, {256, false}, {4096, false}, {256, true}};
+constexpr size_t kNumGroupColumns = std::size(kGroupColumns);
+
+Value GroupKey(const GroupColumn& column, Rng* rng) {
+  const Value card = static_cast<Value>(column.card);
+  if (!column.sparse) return rng->Uniform(1, card);
+  return static_cast<Value>(static_cast<uint64_t>(rng->Uniform(0, card - 1)) *
+                            0x0101010101010101ULL);
+}
 
 struct GroupByOptions {
   std::vector<size_t> sel_pct;      // empty = default sweep
@@ -56,26 +75,35 @@ struct GroupByOptions {
   std::string engine = "sideways";
 };
 
-std::string GroupAttrFor(size_t cardinality) {
-  for (size_t i = 0; i < 3; ++i) {
-    if (kGroupCards[i] == cardinality) return AttrName(3 + i);
+/// Indexes into kGroupColumns of every column with `cardinality` keys.
+std::vector<size_t> GroupColumnsFor(size_t cardinality) {
+  std::vector<size_t> out;
+  for (size_t i = 0; i < kNumGroupColumns; ++i) {
+    if (kGroupColumns[i].card == cardinality) out.push_back(i);
   }
-  std::fprintf(stderr, "--groups wants one of 16,256,4096, got %zu\n",
-               cardinality);
-  std::exit(2);
+  if (out.empty()) {
+    std::fprintf(stderr, "--groups wants one of 16,256,4096, got %zu\n",
+                 cardinality);
+    std::exit(2);
+  }
+  return out;
 }
 
+std::string GroupAttr(size_t column) { return AttrName(3 + column); }
+
 /// A1 = selection attr, A2 = folded value (both uniform over the full
-/// domain); A3..A5 = group keys of the three sweep cardinalities.
+/// domain); A3.. = the group-key columns of kGroupColumns.
 Relation& CreateGroupedRelation(Catalog* catalog, size_t rows, Rng* rng) {
   Relation& rel = catalog->CreateRelation("R");
-  for (size_t a = 1; a <= 5; ++a) rel.AddColumn(AttrName(a));
-  std::vector<Value> row(5);
+  for (size_t a = 1; a <= 2 + kNumGroupColumns; ++a) {
+    rel.AddColumn(AttrName(a));
+  }
+  std::vector<Value> row(2 + kNumGroupColumns);
   for (size_t r = 0; r < rows; ++r) {
     row[0] = rng->Uniform(1, kDomain);
     row[1] = rng->Uniform(1, kDomain);
-    for (size_t i = 0; i < 3; ++i) {
-      row[2 + i] = rng->Uniform(1, static_cast<Value>(kGroupCards[i]));
+    for (size_t i = 0; i < kNumGroupColumns; ++i) {
+      row[2 + i] = GroupKey(kGroupColumns[i], rng);
     }
     rel.BulkLoadRow(row);
   }
@@ -282,12 +310,19 @@ void Run(const BenchArgs& args, const GroupByOptions& opt) {
       effective.engine.c_str(), rows, queries, effective.partitions,
       effective.pool, kernel_isa);
 
+  std::vector<size_t> column_sweep;
   for (const size_t card : card_sweep) {
-    if (!VerifyAgainstOracle(source, effective, GroupAttrFor(card))) {
+    for (const size_t column : GroupColumnsFor(card)) {
+      column_sweep.push_back(column);
+    }
+  }
+  for (const size_t column : column_sweep) {
+    if (!VerifyAgainstOracle(source, effective, GroupAttr(column))) {
       std::fprintf(stderr,
                    "FAILED: pushdown groups diverge from the plain oracle "
-                   "(groups=%zu)\n",
-                   card);
+                   "(groups=%zu%s)\n",
+                   kGroupColumns[column].card,
+                   kGroupColumns[column].sparse ? " sparse" : "");
       std::exit(1);
     }
   }
@@ -301,8 +336,12 @@ void Run(const BenchArgs& args, const GroupByOptions& opt) {
                "selectivity_pct", "speedup");
   TablePrinter table({"sel%", "groups", "arm", "qps", "speedup"});
   SeriesHeader("group_by-" + effective.engine);
-  for (const size_t card : card_sweep) {
-    const std::string group_attr = GroupAttrFor(card);
+  for (const size_t column : column_sweep) {
+    const std::string group_attr = GroupAttr(column);
+    const size_t card = kGroupColumns[column].card;
+    const char* keys = kGroupColumns[column].sparse ? "sparse" : "dense";
+    const std::string groups_label =
+        std::to_string(card) + (kGroupColumns[column].sparse ? " sparse" : "");
     for (const size_t pct : sel_sweep) {
       const double selectivity = static_cast<double>(pct) / 100.0;
       const std::vector<RangePredicate> preds =
@@ -321,8 +360,8 @@ void Run(const BenchArgs& args, const GroupByOptions& opt) {
           push.digest != control.digest) {
         std::fprintf(stderr,
                      "FAILED: arm checksums diverged at sel=%zu%% "
-                     "groups=%zu\n",
-                     pct, card);
+                     "groups=%s\n",
+                     pct, groups_label.c_str());
         std::exit(1);
       }
       if (!push.reconstruct_zero) {
@@ -332,21 +371,23 @@ void Run(const BenchArgs& args, const GroupByOptions& opt) {
       }
 
       const double speedup = push.qps / control.qps;
-      if (card == card_sweep.front()) {
+      if (column == column_sweep.front()) {
         Point(static_cast<double>(pct), speedup);
       }
-      table.AddRow({std::to_string(pct), std::to_string(card),
-                    "materialize+group", Fmt(control.qps, 0), "1.00"});
-      table.AddRow({std::to_string(pct), std::to_string(card), "pushdown",
+      table.AddRow({std::to_string(pct), groups_label, "materialize+group",
+                    Fmt(control.qps, 0), "1.00"});
+      table.AddRow({std::to_string(pct), groups_label, "pushdown",
                     Fmt(push.qps, 0), Fmt(speedup, 2)});
       std::printf(
           "BENCH_group_by {\"engine\":\"%s\",\"rows\":%zu,\"queries\":%zu,"
-          "\"sel_pct\":%zu,\"group_card\":%zu,\"kernel_isa\":\"%s\","
+          "\"sel_pct\":%zu,\"group_card\":%zu,\"group_keys\":\"%s\","
+          "\"kernel_isa\":\"%s\","
           "\"materialize_qps\":%.1f,\"pushdown_qps\":%.1f,"
           "\"speedup\":%.3f,"
           "\"resident_column_bytes\":%zu,\"bytes_per_row\":%.2f,"
           "\"reconstruct_zero\":true,\"verified\":true}\n",
-          effective.engine.c_str(), rows, queries, pct, card, kernel_isa,
+          effective.engine.c_str(), rows, queries, pct, card, keys,
+          kernel_isa,
           control.qps, push.qps, speedup, storage.resident_column_bytes,
           storage.bytes_per_row);
     }
@@ -377,12 +418,12 @@ int main(int argc, char** argv) {
        }},
       {"--groups=LIST",
        "comma list of group cardinalities to sweep, each one of 16,256,4096 "
-       "(default all three)",
+       "(default all three; 256 also sweeps the sparse-key column)",
        [&opt](const char* a) {
          if (std::strncmp(a, "--groups=", 9) != 0) return false;
          opt.group_cards = crackdb::bench::ParseSizeList("--groups", a + 9);
          for (const size_t card : opt.group_cards) {
-           crackdb::bench::GroupAttrFor(card);  // validates; exits on junk
+           crackdb::bench::GroupColumnsFor(card);  // validates; exits on junk
          }
          return true;
        }},

@@ -191,9 +191,9 @@ void Run(const BenchArgs& args) {
   const size_t queries = args.queries != 0 ? args.queries
                          : args.paper_scale ? 1'000
                                             : 300;
-  // Enough timed passes that each measurement window is well above timer
-  // noise even at smoke sizes, and enough best-of repetitions that a
-  // transient scheduling stall cannot fail the gate.
+  // Enough rotated rounds (at least 5) that the median paired ratio is
+  // stable, each pass long enough to sit well above timer noise even at
+  // smoke sizes.
   const size_t reps = args.smoke ? 16 : 11;
   const double gate = args.smoke ? 0.70 : 0.97;
 
@@ -217,43 +217,18 @@ void Run(const BenchArgs& args) {
   ArmResult arms[3];
   double on_ratio = 0.0;
   double traced_ratio = 0.0;
-  // Up to two full measurement attempts. Noise can only *lower* an
-  // arm's throughput, so an apparent-overhead reading above the true
-  // value is unreachable and the max across attempts converges toward
-  // the truth from below: a near-gate failure on attempt one is, given
-  // the interleaved design, almost surely a sustained background load
-  // window — remeasure once before declaring a regression. A genuine
-  // >3% cost fails both attempts.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    ArmResult try_arms[3];
-    double on_median = 0.0;
-    double traced_median = 0.0;
-    RunArms(source, preds, reps, try_arms, &on_median, &traced_median);
-    // Identical predicates on identical data: divergence voids timing.
-    if (try_arms[1].total_count != try_arms[0].total_count ||
-        try_arms[1].total_sum != try_arms[0].total_sum ||
-        try_arms[2].total_count != try_arms[0].total_count ||
-        try_arms[2].total_sum != try_arms[0].total_sum) {
-      std::fprintf(stderr, "FAILED: arm checksums diverged\n");
-      std::exit(1);
-    }
-    // Two robust estimators of the same quantity: the median of paired
-    // per-rep ratios, and the ratio of per-arm noise-floor ceilings
-    // (best-of). Interference only ever *adds* time, so whichever
-    // estimator reads higher was the less contaminated one — the gate
-    // judges that bound.
-    const double try_on =
-        std::max(on_median, try_arms[1].qps / try_arms[0].qps);
-    const double try_traced =
-        std::max(traced_median, try_arms[2].qps / try_arms[0].qps);
-    if (attempt == 0 || try_on > on_ratio) {
-      for (int a = 0; a < 3; ++a) arms[a] = try_arms[a];
-      on_ratio = try_on;
-      traced_ratio = try_traced;
-    }
-    if (on_ratio >= gate) break;
-    std::printf("# overhead gate: attempt %d read %.3f < %.2f, retrying\n",
-                attempt + 1, on_ratio, gate);
+  // One measurement, decided on the median of the paired per-round
+  // ratios. The arm order rotates across the `reps` rounds, and a slow
+  // host phase or a stall inside one round shifts only that round's
+  // ratio, which the median discards.
+  RunArms(source, preds, reps, arms, &on_ratio, &traced_ratio);
+  // Identical predicates on identical data: divergence voids timing.
+  if (arms[1].total_count != arms[0].total_count ||
+      arms[1].total_sum != arms[0].total_sum ||
+      arms[2].total_count != arms[0].total_count ||
+      arms[2].total_sum != arms[0].total_sum) {
+    std::fprintf(stderr, "FAILED: arm checksums diverged\n");
+    std::exit(1);
   }
   const ArmResult& off = arms[0];
   const ArmResult& on = arms[1];

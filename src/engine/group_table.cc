@@ -46,15 +46,18 @@ GroupAccumulator::GroupAccumulator(const ConsumeSpec& consume)
   table_.aggregates.resize(consume.group_aggs.size());
 }
 
-uint32_t GroupAccumulator::IdFor(Value key) {
+inline uint32_t GroupAccumulator::IdFor(Value key) {
   const size_t mask = slots_.size() - 1;
   size_t slot = static_cast<size_t>(HashKey(key)) & mask;
   while (true) {
     const uint32_t id = slots_[slot];
-    if (id == kEmptySlot) break;
+    if (id == kEmptySlot) return Insert(key, slot);
     if (table_.keys[id] == key) return id;
     slot = (slot + 1) & mask;
   }
+}
+
+uint32_t GroupAccumulator::Insert(Value key, size_t slot) {
   const uint32_t id = static_cast<uint32_t>(table_.keys.size());
   slots_[slot] = id;
   table_.keys.push_back(key);
@@ -82,12 +85,42 @@ void GroupAccumulator::AddChunk(const Value* group_vals, const Key* keys,
                                 size_t n,
                                 const std::vector<const Value*>& agg_columns) {
   if (n == 0) return;
+  const auto key_at = [&](size_t i) {
+    return group_vals[keys != nullptr ? keys[i] : i];
+  };
+  // A first pass finds the chunk's key domain. It re-reads the keys
+  // rather than keeping a gathered copy: a per-chunk n * 8 B buffer is
+  // allocator churn that measurably lengthened the tail of unrelated
+  // writes on the same threads.
+  Value lo = key_at(0);
+  Value hi = lo;
+  for (size_t i = 1; i < n; ++i) {
+    lo = std::min(lo, key_at(i));
+    hi = std::max(hi, key_at(i));
+  }
   group_of_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Value key = group_vals[keys != nullptr ? keys[i] : i];
-    const uint32_t id = IdFor(key);
-    ++table_.counts[id];
-    group_of_[i] = id;
+  // Unsigned difference: a [kMinValue, kMaxValue] chunk spans 2^64 - 1
+  // without signed overflow and simply takes the hash path.
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (span < kDenseSpanCutoff && span <= n) {
+    // Dense domain: a flat offset -> id array replaces the per-row probe,
+    // so IdFor runs once per distinct key. The span <= n guard keeps the
+    // array's initialization no dearer than the chunk itself.
+    dense_ids_.assign(span + 1, kEmptySlot);
+    for (size_t i = 0; i < n; ++i) {
+      const Value key = key_at(i);
+      uint32_t& id = dense_ids_[static_cast<uint64_t>(key) -
+                                static_cast<uint64_t>(lo)];
+      if (id == kEmptySlot) id = IdFor(key);
+      ++table_.counts[id];
+      group_of_[i] = id;
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t id = IdFor(key_at(i));
+      ++table_.counts[id];
+      group_of_[i] = id;
+    }
   }
   for (size_t a = 0; a < agg_columns.size(); ++a) {
     const Value* column = agg_columns[a];

@@ -9,21 +9,32 @@
 
 namespace crackdb {
 
-/// Open-addressing hash aggregation for the kGroupBy consumption mode —
-/// the "local aggregate" half of the two-level local-aggregate-then-merge
-/// shape. One accumulator lives per partition (built under that
-/// partition's lock); the sharded merge combines the partial GroupedTables
-/// on the caller thread via Merge(), and FinalizeGrouped() sorts the
-/// result by group key so answers compare across engines and
-/// partitionings.
+/// Grouped aggregation for the kGroupBy consumption mode — the "local
+/// aggregate" half of the two-level local-aggregate-then-merge shape. One
+/// accumulator lives per partition (built under that partition's lock);
+/// the sharded merge combines the partial GroupedTables on the caller
+/// thread via Merge(), and FinalizeGrouped() sorts the result by group key
+/// so answers compare across engines and partitionings.
 ///
 /// The table is a linear-probe, power-of-two-capacity index from group-key
 /// Value to a dense group id; the dense side (keys/counts/accumulator
-/// columns) lives in a GroupedTable. The bulk path (AddChunk) assigns ids
-/// in one scalar pass, then runs one dispatched `fold_group` kernel per
-/// value aggregate — the key-gather + accumulate hot loop.
+/// columns) lives in a GroupedTable. The bulk path (AddChunk) first finds
+/// the min and max of the chunk's group keys, then assigns ids in one
+/// scalar pass:
+///  - dense domain (hi - lo below kDenseSpanCutoff and no larger than the
+///    chunk): `key - lo` indexes a flat id array, so the hash table is
+///    probed once per distinct key, not once per row;
+///  - wider domains: one hash probe per row.
+/// It then runs one dispatched `fold_group` kernel per value aggregate —
+/// the key-gather + accumulate hot loop.
 class GroupAccumulator {
  public:
+  /// AddChunk maps key spans (hi - lo, computed unsigned) below this
+  /// through a flat id array instead of the hash table. Chosen by
+  /// measurement (docs/BENCHMARKS.md, "Dense-domain grouping: measured"):
+  /// the flat array pays up to here, and 2^16 uint32_t ids still sit in L2.
+  static constexpr uint64_t kDenseSpanCutoff = uint64_t{1} << 16;
+
   /// `consume` must outlive the accumulator (it is borrowed, not copied);
   /// kind must be kGroupBy.
   explicit GroupAccumulator(const ConsumeSpec& consume);
@@ -54,8 +65,11 @@ class GroupAccumulator {
 
  private:
   /// Find-or-insert: returns the dense id, creating the group with a zero
-  /// count and op-specific initial accumulators on first sight.
+  /// count and op-specific initial accumulators on first sight. The probe
+  /// loop inlines into the row loops; Insert, the rare miss, stays out of
+  /// line.
   uint32_t IdFor(Value key);
+  uint32_t Insert(Value key, size_t slot);
   void Grow();
 
   const ConsumeSpec* consume_;
@@ -63,8 +77,10 @@ class GroupAccumulator {
   /// Slot array of dense ids (UINT32_MAX = empty); capacity is a power of
   /// two, grown at ~0.7 load.
   std::vector<uint32_t> slots_;
-  /// Scratch group-id vector reused across AddChunk calls.
+  /// Scratch reused across AddChunk calls: each row's group id, and the
+  /// dense path's offset -> id array.
   std::vector<uint32_t> group_of_;
+  std::vector<uint32_t> dense_ids_;
 };
 
 /// Sorts a partial table by group key ascending and fills kCount aggregate

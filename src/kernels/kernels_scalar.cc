@@ -251,9 +251,14 @@ void SelectRle_Scalar(const Value* run_values, const uint32_t* run_starts,
                       std::vector<Key>* out) {
   for (size_t r = 0; r < num_runs; ++r) {
     if (!pred.Matches(run_values[r])) continue;
-    for (uint32_t pos = run_starts[r]; pos < run_starts[r + 1]; ++pos) {
-      out->push_back(base + pos);
-    }
+    const uint32_t begin = run_starts[r];
+    const uint32_t end = run_starts[r + 1];
+    // One resize per matching run, then a plain fill: no per-position
+    // capacity check.
+    const size_t old = out->size();
+    out->resize(old + (end - begin));
+    Key* dst = out->data() + old;
+    for (uint32_t pos = begin; pos < end; ++pos) *dst++ = base + pos;
   }
 }
 

@@ -86,23 +86,12 @@ CodeRange Translate(const EncodedColumn& enc, const RangePredicate& pred) {
 /// Dictionary folds walk a per-code occurrence histogram: each distinct
 /// value folds hist[c] times in one step, which is bit-identical to the
 /// positional fold (sums are mod-2^64 commutative, min/max
-/// order-independent) and O(|dict|) after the histogram is in hand. The
-/// encode-time code_hist supplies it for free; near-distinct dictionaries
-/// (no stored histogram) rebuild it with one pass over the packed codes.
-size_t DictFold(const EncodedColumn& enc, uint64_t lo_code, uint64_t hi_code,
-                FoldOp op, Value* acc, bool* valid) {
-  hi_code = std::min(hi_code, static_cast<uint64_t>(enc.dict.size()) - 1);
-  std::vector<uint32_t> local;
-  const uint32_t* hist = enc.code_hist.data();
-  if (enc.code_hist.empty()) {
-    local.assign(enc.dict.size(), 0);
-    for (size_t i = 0; i < enc.n; ++i) {
-      ++local[enc.bits == 0
-                  ? 0
-                  : kernels::PackedGet(enc.words.data(), enc.bits, i)];
-    }
-    hist = local.data();
-  }
+/// order-independent) and O(|dict|) after the histogram is in hand.
+/// Folds codes [lo_code, hi_code] (hi_code <= dict.size() - 1) into
+/// (*acc, *valid) and returns the number of positions they cover.
+size_t HistogramFold(const std::vector<Value>& dict, const uint32_t* hist,
+                     uint64_t lo_code, uint64_t hi_code, FoldOp op,
+                     Value* acc, bool* valid) {
   size_t matched = 0;
   bool any = false;
   Value result = 0;
@@ -111,7 +100,7 @@ size_t DictFold(const EncodedColumn& enc, uint64_t lo_code, uint64_t hi_code,
     const uint64_t count = hist[c];
     if (count == 0) continue;
     matched += count;
-    const Value v = enc.dict[c];
+    const Value v = dict[c];
     switch (op) {
       case FoldOp::kSum:
         sum += static_cast<uint64_t>(v) * count;
@@ -129,6 +118,56 @@ size_t DictFold(const EncodedColumn& enc, uint64_t lo_code, uint64_t hi_code,
   if (op == FoldOp::kSum) result = static_cast<Value>(sum);
   kernels::FoldSpan(op, &result, 1, acc, valid);
   return matched;
+}
+
+/// Dictionary fold over a code range of the whole column. The encode-time
+/// code_hist supplies the histogram for free; near-distinct dictionaries
+/// (no stored histogram) rebuild it with one pass over the packed codes.
+size_t DictFold(const EncodedColumn& enc, uint64_t lo_code, uint64_t hi_code,
+                FoldOp op, Value* acc, bool* valid) {
+  hi_code = std::min(hi_code, static_cast<uint64_t>(enc.dict.size()) - 1);
+  std::vector<uint32_t> local;
+  const uint32_t* hist = enc.code_hist.data();
+  if (enc.code_hist.empty()) {
+    local.assign(enc.dict.size(), 0);
+    for (size_t i = 0; i < enc.n; ++i) {
+      ++local[enc.bits == 0
+                  ? 0
+                  : kernels::PackedGet(enc.words.data(), enc.bits, i)];
+    }
+    hist = local.data();
+  }
+  return HistogramFold(enc.dict, hist, lo_code, hi_code, op, acc, valid);
+}
+
+/// Folds value_at(k) over every k in (non-empty) `positions` into
+/// (*acc, *valid). A template so each codec's decode inlines into the
+/// loop instead of paying DecodeAt's switch per position.
+template <typename ValueAt>
+void GatherFoldWith(std::span<const Key> positions, FoldOp op,
+                    ValueAt value_at, Value* acc, bool* valid) {
+  Value result = value_at(positions[0]);
+  switch (op) {
+    case FoldOp::kSum: {
+      uint64_t sum = static_cast<uint64_t>(result);
+      for (size_t i = 1; i < positions.size(); ++i) {
+        sum += static_cast<uint64_t>(value_at(positions[i]));
+      }
+      result = static_cast<Value>(sum);
+      break;
+    }
+    case FoldOp::kMin:
+      for (size_t i = 1; i < positions.size(); ++i) {
+        result = std::min(result, value_at(positions[i]));
+      }
+      break;
+    case FoldOp::kMax:
+      for (size_t i = 1; i < positions.size(); ++i) {
+        result = std::max(result, value_at(positions[i]));
+      }
+      break;
+  }
+  kernels::FoldSpan(op, &result, 1, acc, valid);
 }
 
 /// Bit-packs `codes` (one per input value) into out->words and
@@ -461,37 +500,61 @@ void EncodedGatherFold(const EncodedColumn& enc,
                        std::span<const Key> positions, kernels::FoldOp op,
                        Value* acc, bool* valid) {
   if (positions.empty()) return;
-  // Ascending selection vectors walk RLE runs forward instead of paying a
-  // binary search per position; non-ascending input restarts the walk.
-  size_t run = 0;
-  const auto value_at = [&](Key k) -> Value {
-    if (enc.kind != CodecKind::kRle) return DecodeAt(enc, k);
-    if (k < enc.run_starts[run]) run = 0;
-    while (enc.run_starts[run + 1] <= k) ++run;
-    return enc.run_values[run];
-  };
-  Value result = value_at(positions[0]);
-  switch (op) {
-    case FoldOp::kSum: {
-      uint64_t sum = static_cast<uint64_t>(result);
-      for (size_t i = 1; i < positions.size(); ++i) {
-        sum += static_cast<uint64_t>(value_at(positions[i]));
-      }
-      result = static_cast<Value>(sum);
-      break;
+  switch (enc.kind) {
+    case CodecKind::kRle: {
+      // Ascending selection vectors walk the runs forward instead of
+      // paying a binary search per position; non-ascending input restarts
+      // the walk.
+      size_t run = 0;
+      GatherFoldWith(
+          positions, op,
+          [&](Key k) {
+            if (k < enc.run_starts[run]) run = 0;
+            while (enc.run_starts[run + 1] <= k) ++run;
+            return enc.run_values[run];
+          },
+          acc, valid);
+      return;
     }
-    case FoldOp::kMin:
-      for (size_t i = 1; i < positions.size(); ++i) {
-        result = std::min(result, value_at(positions[i]));
+    case CodecKind::kFor: {
+      if (enc.bits == 0) {
+        GatherFoldWith(
+            positions, op, [&](Key) { return enc.for_base; }, acc, valid);
+        return;
       }
-      break;
-    case FoldOp::kMax:
-      for (size_t i = 1; i < positions.size(); ++i) {
-        result = std::max(result, value_at(positions[i]));
+      const uint64_t base = static_cast<uint64_t>(enc.for_base);
+      const uint64_t* words = enc.words.data();
+      const unsigned bits = enc.bits;
+      GatherFoldWith(
+          positions, op,
+          [&](Key k) {
+            return static_cast<Value>(base +
+                                      kernels::PackedGet(words, bits, k));
+          },
+          acc, valid);
+      return;
+    }
+    case CodecKind::kDict: {
+      // Count the selected codes, then fold each distinct value once: the
+      // same histogram walk as the whole-column dictionary fold. Counts
+      // fit uint32_t: a selection vector holds one position per selected
+      // row, and Key addresses a partition's rows in 32 bits.
+      std::vector<uint32_t> hist(enc.dict.size(), 0);
+      if (enc.bits == 0) {
+        hist[0] = static_cast<uint32_t>(positions.size());
+      } else {
+        for (const Key k : positions) {
+          ++hist[kernels::PackedGet(enc.words.data(), enc.bits, k)];
+        }
       }
+      HistogramFold(enc.dict, hist.data(), 0, enc.dict.size() - 1, op, acc,
+                    valid);
+      return;
+    }
+    case CodecKind::kRaw:
       break;
   }
-  kernels::FoldSpan(op, &result, 1, acc, valid);
+  assert(false && "EncodedGatherFold on a raw column");
 }
 
 }  // namespace crackdb

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -168,12 +169,13 @@ void CheckEncodedAgainstOracle(const std::vector<Value>& values,
     // Gather-fold over the oracle's selection vector (rebased to 0).
     std::vector<Key> positions = want.keys;
     for (Key& k : positions) k -= 100;
-    Value acc = 123;
-    bool valid = false;
-    EncodedGatherFold(enc, positions, FoldOp::kSum, &acc, &valid);
-    EXPECT_EQ(valid, want.valid) << CodecName(kind);
-    if (want.valid) {
-      EXPECT_EQ(acc, want.sum) << CodecName(kind);
+    for (const auto& fold : folds) {
+      Value acc = 123;
+      bool valid = false;
+      EncodedGatherFold(enc, positions, fold.op, &acc, &valid);
+      EXPECT_EQ(valid, want.valid) << CodecName(kind);
+      EXPECT_EQ(acc, want.valid ? fold.expected : 123)
+          << CodecName(kind) << " op=" << static_cast<int>(fold.op);
     }
   }
 
@@ -338,6 +340,141 @@ TEST(CodecRandomizedTest, RandomShapesRoundTripUnderChosenCodec) {
     if (kind == CodecKind::kRaw) continue;
     CheckEncodedAgainstOracle(v, kind);
   }
+}
+
+// ---------------------------------------------------------------------------
+// EncodedGatherFold: every codec path against a per-position DecodeAt fold
+// ---------------------------------------------------------------------------
+
+/// The reference: DecodeAt at each position, folded one at a time with
+/// FoldSpan merge semantics (wrapping sums; *valid set on the first value).
+void ReferenceGatherFold(const EncodedColumn& enc,
+                         const std::vector<Key>& positions, FoldOp op,
+                         Value* acc, bool* valid) {
+  for (const Key k : positions) {
+    const Value v = DecodeAt(enc, k);
+    if (!*valid) {
+      *acc = v;
+      *valid = true;
+      continue;
+    }
+    switch (op) {
+      case FoldOp::kSum:
+        *acc = static_cast<Value>(static_cast<uint64_t>(*acc) +
+                                  static_cast<uint64_t>(v));
+        break;
+      case FoldOp::kMin:
+        *acc = std::min(*acc, v);
+        break;
+      case FoldOp::kMax:
+        *acc = std::max(*acc, v);
+        break;
+    }
+  }
+}
+
+/// Selection vectors over `n` rows: empty, a single row, ascending sparse
+/// and dense, every row twice, and short and long unsorted draws with
+/// repeats.
+std::vector<std::vector<Key>> PositionSets(Rng* rng, size_t n) {
+  const auto draw = [&](size_t count) {
+    std::vector<Key> v(count);
+    for (Key& k : v) {
+      k = static_cast<Key>(rng->Uniform(0, static_cast<Value>(n) - 1));
+    }
+    return v;
+  };
+  std::vector<std::vector<Key>> sets = {{}, {static_cast<Key>(n - 1)}};
+  std::vector<Key> sparse, dense, twice;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 3 == 0) sparse.push_back(static_cast<Key>(i));
+    dense.push_back(static_cast<Key>(i));
+    twice.push_back(static_cast<Key>(i));
+    twice.push_back(static_cast<Key>(i));
+  }
+  sets.push_back(sparse);
+  sets.push_back(dense);
+  sets.push_back(twice);
+  sets.push_back(draw(5));
+  sets.push_back(draw(2 * n));
+  return sets;
+}
+
+/// Encodes `values` with `kind` and checks EncodedGatherFold against the
+/// reference for every op, position set, and starting accumulator.
+void CheckGatherFold(const std::vector<Value>& values, CodecKind kind,
+                     const std::string& what) {
+  EncodedColumn enc;
+  ASSERT_TRUE(EncodeColumn(values, kind, &enc)) << what;
+  Rng rng(values.size());
+  for (const std::vector<Key>& positions :
+       PositionSets(&rng, values.size())) {
+    for (const FoldOp op : {FoldOp::kSum, FoldOp::kMin, FoldOp::kMax}) {
+      for (const bool start_valid : {false, true}) {
+        Value want = start_valid ? -7 : 123;
+        bool want_valid = start_valid;
+        ReferenceGatherFold(enc, positions, op, &want, &want_valid);
+        Value got = start_valid ? -7 : 123;
+        bool got_valid = start_valid;
+        EncodedGatherFold(enc, positions, op, &got, &got_valid);
+        EXPECT_EQ(got_valid, want_valid) << what;
+        EXPECT_EQ(got, want) << what << " op=" << static_cast<int>(op)
+                             << " positions=" << positions.size()
+                             << " start_valid=" << start_valid;
+      }
+    }
+  }
+}
+
+/// `distinct` values just below kMaxValue, so every sum wraps mod 2^64.
+std::vector<Value> NearMax(Rng* rng, size_t n, size_t distinct) {
+  std::vector<Value> v(n);
+  for (Value& x : v) {
+    x = kMaxValue - rng->Uniform(0, static_cast<Value>(distinct) - 1);
+  }
+  return v;
+}
+
+TEST(CodecGatherFoldTest, DictionaryWithAndWithoutHistogram) {
+  Rng rng(37);
+  // 16 entries over 4096 rows keeps the encode-time histogram; 200 over
+  // 512 does not.
+  const std::vector<Value> with_hist = LowCardinality(&rng, 4096, 16);
+  const std::vector<Value> without_hist = LowCardinality(&rng, 512, 200);
+  EncodedColumn enc;
+  ASSERT_TRUE(EncodeColumn(with_hist, CodecKind::kDict, &enc));
+  EXPECT_FALSE(enc.code_hist.empty());
+  ASSERT_TRUE(EncodeColumn(without_hist, CodecKind::kDict, &enc));
+  EXPECT_TRUE(enc.code_hist.empty());
+  CheckGatherFold(with_hist, CodecKind::kDict, "dict+hist");
+  CheckGatherFold(without_hist, CodecKind::kDict, "dict");
+  CheckGatherFold(NearMax(&rng, 4096, 16), CodecKind::kDict, "dict wrap");
+  CheckGatherFold(NearMax(&rng, 512, 200), CodecKind::kDict,
+                  "dict wrap, no hist");
+}
+
+TEST(CodecGatherFoldTest, ZeroBitCodes) {
+  // One distinct value: dictionary and FOR store no code bits at all.
+  const std::vector<Value> equal(64, -42);
+  for (const CodecKind kind : {CodecKind::kDict, CodecKind::kFor}) {
+    EncodedColumn enc;
+    ASSERT_TRUE(EncodeColumn(equal, kind, &enc));
+    EXPECT_EQ(enc.bits, 0u) << CodecName(kind);
+    CheckGatherFold(equal, kind, std::string(CodecName(kind)) + " bits=0");
+  }
+  const std::vector<Value> max_equal(64, kMaxValue);
+  CheckGatherFold(max_equal, CodecKind::kDict, "dict bits=0 wrap");
+  CheckGatherFold(max_equal, CodecKind::kFor, "for bits=0 wrap");
+}
+
+TEST(CodecGatherFoldTest, ForAndRle) {
+  Rng rng(41);
+  CheckGatherFold(Uniform(&rng, 1000, -1000, 1000), CodecKind::kFor, "for");
+  CheckGatherFold(NearMax(&rng, 1000, 5000), CodecKind::kFor, "for wrap");
+  CheckGatherFold(Runs(&rng, 1000, 16, 500), CodecKind::kRle, "rle");
+  std::vector<Value> wrap_runs = Runs(&rng, 1000, 16, 500);
+  for (Value& v : wrap_runs) v = kMaxValue - v;
+  CheckGatherFold(wrap_runs, CodecKind::kRle, "rle wrap");
 }
 
 }  // namespace

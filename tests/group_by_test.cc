@@ -8,8 +8,10 @@
 // a silently different answer. Also covered: empty results, single-group
 // and all-distinct-key shapes, several aggregates folding the same
 // attribute, per-group counts via kCount, and the zero-reconstruction
-// cost contract. The `concurrency` label runs the sharded cases under
-// TSan in CI.
+// cost contract. GroupAccumulator is also tested directly: AddChunk's
+// dense-domain and hash paths, and Merge of partials built by each, at the
+// dense cutoff's edges and at the ends of the Value range. The
+// `concurrency` label runs the sharded cases under TSan in CI.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "common/rng.h"
 #include "engine/database.h"
 #include "engine/engine_factory.h"
+#include "engine/group_table.h"
 #include "engine/plain_engine.h"
 #include "engine/query.h"
 #include "obs/trace.h"
@@ -244,6 +247,164 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// ---------------------------------------------------------------------------
+// GroupAccumulator directly: AddChunk's dense-domain and hash paths, and
+// Merge, against the std::map fold
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kCutoff = GroupAccumulator::kDenseSpanCutoff;
+
+/// Sum, Min, Max and Count over one value column: the order
+/// ExpectMatchesOracle reads.
+ConsumeSpec AllOpsSpec() {
+  return ConsumeSpec::GroupBy("g", {{AggregateOp::kSum, "v"},
+                                    {AggregateOp::kMin, "v"},
+                                    {AggregateOp::kMax, "v"},
+                                    {AggregateOp::kCount, "v"}});
+}
+
+/// One AddChunk input in row order.
+struct Chunk {
+  std::vector<Value> groups;
+  std::vector<Value> values;
+};
+
+/// `n` rows whose group keys cover exactly [lo, lo + span] (computed
+/// unsigned): the first rows pin both ends, the rest draw uniformly.
+/// Values reach kMaxValue, so sums wrap.
+Chunk MakeChunk(Rng* rng, size_t n, Value lo, uint64_t span) {
+  Chunk c;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t offset = 0;
+    if (i == 1) {
+      offset = span;
+    } else if (i > 1) {
+      offset = rng->Next();
+      if (span != ~uint64_t{0}) offset %= span + 1;
+    }
+    c.groups.push_back(
+        static_cast<Value>(static_cast<uint64_t>(lo) + offset));
+    c.values.push_back(rng->Bernoulli(0.1) ? kMaxValue
+                                           : rng->Uniform(-1000, 1000));
+  }
+  return c;
+}
+
+void FoldIntoOracle(const Chunk& c, Oracle* oracle) {
+  for (size_t i = 0; i < c.groups.size(); ++i) {
+    OracleGroup& g = (*oracle)[c.groups[i]];
+    const Value v = c.values[i];
+    g.count += 1;
+    g.sum = static_cast<Value>(static_cast<uint64_t>(g.sum) +
+                               static_cast<uint64_t>(v));
+    g.min = std::min(g.min, v);
+    g.max = std::max(g.max, v);
+  }
+}
+
+/// Feeds `c` to `acc` as a contiguous view (keys == nullptr), or through
+/// a key list that visits its rows in reverse over base columns twice as
+/// long, whose unaddressed rows hold a key and value no chunk uses.
+void AddChunkTo(GroupAccumulator* acc, const Chunk& c, bool via_keys) {
+  const size_t n = c.groups.size();
+  if (!via_keys) {
+    const Value* v = c.values.data();
+    acc->AddChunk(c.groups.data(), nullptr, n, {v, v, v, nullptr});
+    return;
+  }
+  std::vector<Value> base_g(2 * n, 424242);
+  std::vector<Value> base_v(2 * n, 99);
+  std::vector<Key> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t pos = 2 * (n - 1 - i) + 1;
+    base_g[pos] = c.groups[i];
+    base_v[pos] = c.values[i];
+    keys[i] = static_cast<Key>(pos);
+  }
+  const Value* v = base_v.data();
+  acc->AddChunk(base_g.data(), keys.data(), n, {v, v, v, nullptr});
+}
+
+/// Folds every chunk into one accumulator and checks the finalized table
+/// against the map fold, both with and without a key list.
+void CheckChunks(const std::vector<Chunk>& chunks, const std::string& what) {
+  Oracle oracle;
+  for (const Chunk& c : chunks) FoldIntoOracle(c, &oracle);
+  const ConsumeSpec spec = AllOpsSpec();
+  for (const bool via_keys : {false, true}) {
+    GroupAccumulator acc(spec);
+    for (const Chunk& c : chunks) AddChunkTo(&acc, c, via_keys);
+    ExpectMatchesOracle(FinalizeGrouped(spec, acc.Take()), oracle,
+                        what + (via_keys ? "/keys" : "/contiguous"));
+  }
+}
+
+TEST(GroupAccumulatorTest, SingleGroupSpanZero) {
+  Rng rng(1);
+  CheckChunks({MakeChunk(&rng, 50, 7, 0)}, "span0");
+}
+
+TEST(GroupAccumulatorTest, SpansAroundTheDenseCutoff) {
+  // n = cutoff + 1 rows, so the chunk is never smaller than the span and
+  // only the cutoff itself decides dense vs hash.
+  Rng rng(2);
+  for (const uint64_t span : {kCutoff - 1, kCutoff, kCutoff + 1}) {
+    CheckChunks({MakeChunk(&rng, kCutoff + 1, -5, span)},
+                "span=" + std::to_string(span));
+  }
+}
+
+TEST(GroupAccumulatorTest, NegativeKeys) {
+  Rng rng(3);
+  CheckChunks({MakeChunk(&rng, 2000, -1000, 300)}, "negative");
+}
+
+TEST(GroupAccumulatorTest, KeysAtTheEndsOfTheValueRange) {
+  Rng rng(4);
+  // hi - lo overflows a signed Value: the hash path must take it.
+  CheckChunks({MakeChunk(&rng, 500, kMinValue, ~uint64_t{0})}, "min..max");
+  // Narrow spans pinned to either end take the dense path.
+  CheckChunks({MakeChunk(&rng, 500, kMinValue, 10)}, "at-min");
+  CheckChunks({MakeChunk(&rng, 500, kMaxValue - 10, 10)}, "at-max");
+}
+
+TEST(GroupAccumulatorTest, ChunkSmallerThanItsSpan) {
+  Rng rng(5);
+  CheckChunks({MakeChunk(&rng, 20, 100, 1000)}, "n<span");
+}
+
+TEST(GroupAccumulatorTest, ChunksAlternateDenseAndHashPaths) {
+  // Overlapping key ranges, so later chunks find groups an earlier chunk
+  // created on the other path.
+  Rng rng(6);
+  CheckChunks({MakeChunk(&rng, 400, 0, 63), MakeChunk(&rng, 30, 0, 5000),
+               MakeChunk(&rng, 400, 32, 63), MakeChunk(&rng, 300, -50, 1000),
+               MakeChunk(&rng, 1, 64, 0)},
+              "alternating");
+}
+
+TEST(GroupAccumulatorTest, MergeCombinesPartialsFromEitherPath) {
+  Rng rng(7);
+  const Chunk dense = MakeChunk(&rng, 800, 0, 100);
+  const Chunk hashed = MakeChunk(&rng, 40, 50, 4000);
+  Oracle oracle;
+  FoldIntoOracle(dense, &oracle);
+  FoldIntoOracle(hashed, &oracle);
+  const ConsumeSpec spec = AllOpsSpec();
+  for (const bool via_keys : {false, true}) {
+    for (const bool dense_first : {false, true}) {
+      GroupAccumulator a(spec);
+      GroupAccumulator b(spec);
+      AddChunkTo(&a, dense_first ? dense : hashed, via_keys);
+      AddChunkTo(&b, dense_first ? hashed : dense, via_keys);
+      a.Merge(b.Take());
+      ExpectMatchesOracle(FinalizeGrouped(spec, a.Take()), oracle,
+                          std::string("merge") + (via_keys ? "/keys" : "") +
+                              (dense_first ? "/dense-first" : ""));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace crackdb

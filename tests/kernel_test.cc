@@ -690,6 +690,36 @@ TEST(KernelRleTest, RleKernelsMatchScalarReference) {
   }
 }
 
+TEST(KernelRleTest, SelectRleMatchesPositionReferenceOnEveryArm) {
+  // Every arm, scalar included, against a position-by-position expansion
+  // of the matching runs. MakeRuns mixes in zero-length runs; the base is
+  // non-zero, and the output already holds keys that must survive.
+  Rng rng(89);
+  const Value domain = 300;
+  const Key base = 1000;
+  const std::vector<Key> prefix = {5, 6, 7};
+  for (const size_t num_runs : {size_t{0}, size_t{1}, size_t{2}, size_t{17},
+                                size_t{255}, size_t{1000}}) {
+    const RleRuns r = MakeRuns(&rng, num_runs, domain);
+    for (const RangePredicate& pred : OraclePredicates(domain)) {
+      std::vector<Key> want = prefix;
+      for (size_t i = 0; i < num_runs; ++i) {
+        if (!pred.Matches(r.values[i])) continue;
+        for (uint32_t pos = r.starts[i]; pos < r.starts[i + 1]; ++pos) {
+          want.push_back(base + pos);
+        }
+      }
+      for (const Isa arm : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+        std::vector<Key> got = prefix;
+        Table(arm).select_rle(r.values.data(), r.starts.data(), num_runs,
+                              pred, base, &got);
+        EXPECT_EQ(got, want) << kernels::IsaName(arm)
+                             << " runs=" << num_runs;
+      }
+    }
+  }
+}
+
 TEST(KernelRleTest, RleSumWrapsModulo64AcrossArms) {
   // A kMaxValue run long enough to overflow: sums add value * run_length
   // wrapping mod 2^64, so every arm agrees bit-for-bit.
