@@ -1,10 +1,12 @@
 // The cracking-aware compression layer (storage/codec.h) measured three
-// ways on four data shapes — uniform, zipfian, low-cardinality, and
-// run-heavy columns:
+// ways on five data shapes — uniform, zipfian, low-cardinality, run-heavy
+// and ascending (load-ordered) columns:
 //
-//   1. codec micro: bytes per row raw vs encoded, and the encoded Count /
-//      Sum kernels against both the raw-array kernels and the honest
-//      decompress-then-fold alternative they replace;
+//   1. codec micro: bytes per row raw vs encoded, the encoded Count / Sum
+//      kernels against both the raw-array kernels and the honest
+//      decompress-then-fold alternative they replace, and select-then-fold
+//      (EncodedSelect + FoldSelection: spans on runs and sorted FOR,
+//      positions otherwise) against the raw select + gather-fold;
 //   2. end-to-end: a compress-on-load Database vs an identical raw one
 //      serving the same Count/Sum stream (the encoded fast path inside
 //      ShardedEngine), with the per-table footprint from Stats;
@@ -22,6 +24,7 @@
 // before any timing is reported. Each shape emits a machine-readable
 // `BENCH_compression {...}` JSON line (schema in docs/BENCHMARKS.md).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -84,11 +87,24 @@ Value NextRuns(Rng* rng) {
   return g_run_level;
 }
 
+// Timestamp-like: each row lands 1..2*step-1 ticks after the previous
+// one, with the step sized so the column spans about [1, kDomain] like the
+// other shapes. It ascends in load order, and so in every partition (which
+// keeps load order). High cardinality over a range of at most 2^32: FOR,
+// with `sorted` set.
+Value g_clock = 0;       // reset per relation build
+Value g_clock_step = 1;  // set per relation build
+Value NextAscending(Rng* rng) {
+  g_clock += rng->Uniform(1, 2 * g_clock_step - 1);
+  return g_clock;
+}
+
 constexpr Shape kShapes[] = {
     {"uniform", NextUniform},
     {"zipfian", NextZipfian},
     {"lowcard", NextLowCard},
     {"runs", NextRuns},
+    {"ascending", NextAscending},
 };
 
 Relation& CreateShapedRelation(Catalog* catalog, const std::string& name,
@@ -97,6 +113,8 @@ Relation& CreateShapedRelation(Catalog* catalog, const std::string& name,
   r.AddColumn(AttrName(1));
   r.AddColumn(AttrName(2));
   g_run_level = 1;
+  g_clock = 0;
+  g_clock_step = std::max<Value>(1, kDomain / static_cast<Value>(rows));
   std::vector<Value> row(2);
   for (size_t i = 0; i < rows; ++i) {
     row[0] = rng->Uniform(1, kDomain);
@@ -142,6 +160,8 @@ struct MicroResult {
   double sum_decode_gbps = 0;  // decompress-then-fold
   double count_encoded_mqps = 0;
   double count_raw_mqps = 0;
+  double select_fold_encoded_qps = 0;
+  double select_fold_raw_qps = 0;
 };
 
 MicroResult RunMicro(const std::vector<Value>& vals, uint64_t seed,
@@ -206,10 +226,11 @@ MicroResult RunMicro(const std::vector<Value>& vals, uint64_t seed,
     if (EncodedCount(enc, pred) != raw_count) {
       Fail("encoded count diverged from the raw oracle");
     }
-    std::vector<Key> raw_keys, enc_keys;
+    std::vector<Key> raw_keys;
     kernels::SelectRange(vals.data(), vals.size(), pred, 0, &raw_keys);
-    EncodedSelect(enc, pred, 0, &enc_keys);
-    if (raw_keys != enc_keys) {
+    RowSelection rows;
+    EncodedSelect(enc, pred, &rows);
+    if (rows.ToPositions() != raw_keys) {
       Fail("encoded select diverged from the raw oracle");
     }
     if (sel == 0.10) {
@@ -230,6 +251,39 @@ MicroResult RunMicro(const std::vector<Value>& vals, uint64_t seed,
   if (enc_total != raw_total) Fail("timed counts diverged");
   m.count_encoded_mqps = static_cast<double>(reps) / count_enc_s / 1e6;
   m.count_raw_mqps = static_cast<double>(reps) / count_raw_s / 1e6;
+
+  // Select-then-fold on the same 10% range: the encoded selection (spans
+  // where the layout names them) folded by FoldSelection, against the raw
+  // select into positions plus a gather-fold. Sums must agree.
+  RowSelection rows;
+  std::vector<Key> raw_keys;
+  Value sf_enc = 0, sf_raw = 0;
+  bool sf_enc_valid = false, sf_raw_valid = false;
+  Timer t_sf_enc;
+  for (size_t r = 0; r < reps; ++r) {
+    sf_enc = 0;
+    sf_enc_valid = false;
+    EncodedSelect(enc, timed, &rows);
+    FoldSelection(enc, rows, kernels::FoldOp::kSum, &sf_enc, &sf_enc_valid);
+  }
+  const double sf_enc_s = t_sf_enc.ElapsedSeconds();
+  Timer t_sf_raw;
+  for (size_t r = 0; r < reps; ++r) {
+    sf_raw = 0;
+    sf_raw_valid = false;
+    raw_keys.clear();
+    kernels::SelectRange(vals.data(), vals.size(), timed, 0, &raw_keys);
+    if (!raw_keys.empty()) {
+      kernels::FoldGather(kernels::FoldOp::kSum, vals.data(), raw_keys.data(),
+                          raw_keys.size(), &sf_raw, &sf_raw_valid);
+    }
+  }
+  const double sf_raw_s = t_sf_raw.ElapsedSeconds();
+  if (sf_enc != sf_raw || sf_enc_valid != sf_raw_valid) {
+    Fail("select-then-fold sums diverged");
+  }
+  m.select_fold_encoded_qps = static_cast<double>(reps) / sf_enc_s;
+  m.select_fold_raw_qps = static_cast<double>(reps) / sf_raw_s;
   return m;
 }
 
@@ -397,7 +451,8 @@ void Run(const BenchArgs& args, const CompressionOptions& opt) {
         "\"compression_ratio\":%.2f,\"sum_encoded_gbps\":%.3f,"
         "\"sum_raw_gbps\":%.3f,\"sum_decode_then_fold_gbps\":%.3f,"
         "\"encoded_vs_decode_speedup\":%.2f,\"count_encoded_mqps\":%.3f,"
-        "\"count_raw_mqps\":%.3f,\"db_raw_qps\":%.1f,"
+        "\"count_raw_mqps\":%.3f,\"select_fold_encoded_qps\":%.1f,"
+        "\"select_fold_raw_qps\":%.1f,\"db_raw_qps\":%.1f,"
         "\"db_compressed_qps\":%.1f,\"db_adapted_qps\":%.1f,"
         "\"db_qps_ratio\":%.3f,"
         "\"db_bytes_per_row_raw\":%.2f,\"db_bytes_per_row_compressed\":%.2f,"
@@ -407,7 +462,9 @@ void Run(const BenchArgs& args, const CompressionOptions& opt) {
         CodecName(micro.codec), bpr_raw, bpr_enc, ratio,
         micro.sum_encoded_gbps, micro.sum_raw_gbps, micro.sum_decode_gbps,
         micro.sum_encoded_gbps / micro.sum_decode_gbps,
-        micro.count_encoded_mqps, micro.count_raw_mqps, raw.qps, comp.qps,
+        micro.count_encoded_mqps, micro.count_raw_mqps,
+        micro.select_fold_encoded_qps, micro.select_fold_raw_qps, raw.qps,
+        comp.qps,
         comp.adapted_qps, comp.adapted_qps / raw.adapted_qps,
         raw.stats.bytes_per_row, comp.stats.bytes_per_row,
         static_cast<unsigned long long>(comp.stats.encoded_queries),
@@ -431,7 +488,7 @@ int main(int argc, char** argv) {
          opt.engine = a + 9;
          return true;
        }},
-      {"--shape=NAME", "run one shape: uniform|zipfian|lowcard|runs",
+      {"--shape=NAME", "run one shape: uniform|zipfian|lowcard|runs|ascending",
        [&opt](const char* a) {
          if (std::strncmp(a, "--shape=", 8) != 0) return false;
          opt.shape = a + 8;

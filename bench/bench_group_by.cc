@@ -16,10 +16,16 @@
 //   ./bench_group_by --engine=partial --sel=10 --groups=256
 //   ./bench_group_by --smoke             # CI fast path
 //
+// Timing: each sweep point gives each arm its own database, runs one
+// untimed warm pass per arm, then times the predicate sequence in rotated
+// rounds (RunInterleaved), so a slow host phase lands on both arms alike.
+// qps is the sequence length over an arm's median pass time; speedup is
+// the median of the per-round paired ratios.
+//
 // Verify-before-trust: pushdown group tables are checked against a
 // plain-scan std::map oracle before any timing is reported, both arms'
-// checksums must agree on every sweep point, and every pushed-down query
-// must report exactly zero reconstruction cost. Each sweep point emits a
+// checksums must agree on every pass, and every pushed-down query must
+// report exactly zero reconstruction cost. Each sweep point emits a
 // machine-readable `BENCH_group_by {...}` JSON line.
 
 #include <cstdio>
@@ -28,6 +34,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -142,8 +149,8 @@ std::vector<RangePredicate> MakePredicates(uint64_t seed, size_t count,
 
 enum class Arm { kMaterializeGroup, kPushdown };
 
-struct ArmResult {
-  double qps = 0;
+/// Checksums of one pass of an arm over the predicate sequence.
+struct PassResult {
   uint64_t total_rows = 0;
   uint64_t total_groups = 0;
   /// Order-insensitive fold digest: sum over groups of
@@ -157,73 +164,59 @@ uint64_t GroupDigest(Value key, uint64_t count, Value sum) {
          (count + static_cast<uint64_t>(sum));
 }
 
-/// Runs one arm on a fresh database: an untimed warmup pass over the
-/// predicate sequence (the crackers converge on the arm's own access
-/// pattern), then the timed pass. Both arms pay identical selection work;
-/// what differs is where the grouping happens and how much data crosses
-/// the partition merge.
-ArmResult RunArm(const Relation& source, const GroupByOptions& opt, Arm arm,
-                 const std::string& group_attr,
-                 const std::vector<RangePredicate>& preds) {
-  const std::unique_ptr<Database> db = MakeDatabase(source, opt);
-  ArmResult result;
-  double elapsed = 0;
-  for (int pass = 0; pass < 2; ++pass) {
-    const bool timed = pass == 1;
-    result.total_rows = 0;
-    result.total_groups = 0;
-    result.digest = 0;
-    Timer timer;
-    for (const RangePredicate& pred : preds) {
-      switch (arm) {
-        case Arm::kMaterializeGroup: {
-          auto r = db->From("R")
-                       .Where(AttrName(1), pred)
-                       .Project(group_attr, AttrName(2))
-                       .Execute();
-          if (!r.ok()) {
-            std::fprintf(stderr, "FAILED: %s\n", r.error().c_str());
-            std::exit(1);
-          }
-          const std::vector<std::span<const Value>> keys = {
-              {r->rows.columns[0].data(), r->rows.columns[0].size()}};
-          const Groups g = GroupBySpans(keys);
-          const std::vector<Value> sums = GroupedSum(g, r->rows.columns[1]);
-          const std::vector<Value> counts = GroupedCount(g);
-          result.total_rows += r->rows.num_rows;
-          result.total_groups += g.num_groups();
-          for (size_t gi = 0; gi < g.num_groups(); ++gi) {
-            result.digest += GroupDigest(
-                g.keys[gi][0], static_cast<uint64_t>(counts[gi]), sums[gi]);
-          }
-          break;
+/// One pass of `arm` over the predicate sequence on `db`. Both arms pay
+/// identical selection work; what differs is where the grouping happens
+/// and how much data crosses the partition merge.
+PassResult RunPass(Database* db, Arm arm, const std::string& group_attr,
+                   const std::vector<RangePredicate>& preds) {
+  PassResult result;
+  for (const RangePredicate& pred : preds) {
+    switch (arm) {
+      case Arm::kMaterializeGroup: {
+        auto r = db->From("R")
+                     .Where(AttrName(1), pred)
+                     .Project(group_attr, AttrName(2))
+                     .Execute();
+        if (!r.ok()) {
+          std::fprintf(stderr, "FAILED: %s\n", r.error().c_str());
+          std::exit(1);
         }
-        case Arm::kPushdown: {
-          auto r = db->From("R")
-                       .Where(AttrName(1), pred)
-                       .GroupBy(group_attr)
-                       .Aggregate(AggregateOp::kSum, AttrName(2))
-                       .Aggregate(AggregateOp::kCount, AttrName(2))
-                       .Execute();
-          if (!r.ok()) {
-            std::fprintf(stderr, "FAILED: %s\n", r.error().c_str());
-            std::exit(1);
-          }
-          result.total_rows += r->count;
-          result.total_groups += r->groups.num_groups();
-          for (size_t gi = 0; gi < r->groups.num_groups(); ++gi) {
-            result.digest += GroupDigest(r->groups.keys[gi],
-                                         r->groups.counts[gi],
-                                         r->groups.aggregates[0][gi]);
-          }
-          result.reconstruct_zero &= r->cost.reconstruct_micros == 0;
-          break;
+        const std::vector<std::span<const Value>> keys = {
+            {r->rows.columns[0].data(), r->rows.columns[0].size()}};
+        const Groups g = GroupBySpans(keys);
+        const std::vector<Value> sums = GroupedSum(g, r->rows.columns[1]);
+        const std::vector<Value> counts = GroupedCount(g);
+        result.total_rows += r->rows.num_rows;
+        result.total_groups += g.num_groups();
+        for (size_t gi = 0; gi < g.num_groups(); ++gi) {
+          result.digest += GroupDigest(
+              g.keys[gi][0], static_cast<uint64_t>(counts[gi]), sums[gi]);
         }
+        break;
+      }
+      case Arm::kPushdown: {
+        auto r = db->From("R")
+                     .Where(AttrName(1), pred)
+                     .GroupBy(group_attr)
+                     .Aggregate(AggregateOp::kSum, AttrName(2))
+                     .Aggregate(AggregateOp::kCount, AttrName(2))
+                     .Execute();
+        if (!r.ok()) {
+          std::fprintf(stderr, "FAILED: %s\n", r.error().c_str());
+          std::exit(1);
+        }
+        result.total_rows += r->count;
+        result.total_groups += r->groups.num_groups();
+        for (size_t gi = 0; gi < r->groups.num_groups(); ++gi) {
+          result.digest += GroupDigest(r->groups.keys[gi],
+                                       r->groups.counts[gi],
+                                       r->groups.aggregates[0][gi]);
+        }
+        result.reconstruct_zero &= r->cost.reconstruct_micros == 0;
+        break;
       }
     }
-    if (timed) elapsed = timer.ElapsedSeconds();
   }
-  result.qps = static_cast<double>(preds.size()) / elapsed;
   return result;
 }
 
@@ -278,6 +271,8 @@ void Run(const BenchArgs& args, const GroupByOptions& opt) {
                          : args.smoke      ? 6
                          : args.paper_scale ? 1'000
                                             : 200;
+  // Timed rounds per sweep point, after one warm round.
+  const size_t rounds = args.smoke ? 2 : 9;
   std::vector<size_t> sel_sweep = opt.sel_pct;
   if (sel_sweep.empty()) {
     sel_sweep = args.smoke ? std::vector<size_t>{10}
@@ -346,50 +341,67 @@ void Run(const BenchArgs& args, const GroupByOptions& opt) {
       const double selectivity = static_cast<double>(pct) / 100.0;
       const std::vector<RangePredicate> preds =
           MakePredicates(args.seed + card * 100 + pct, queries, selectivity);
+      std::optional<PassResult> baseline;
 
-      const ArmResult control = RunArm(source, effective,
-                                       Arm::kMaterializeGroup, group_attr,
-                                       preds);
-      const ArmResult push =
-          RunArm(source, effective, Arm::kPushdown, group_attr, preds);
-
-      // The arms grouped the identical predicate sequence on identical
-      // data; any checksum divergence voids the timing.
-      if (push.total_rows != control.total_rows ||
-          push.total_groups != control.total_groups ||
-          push.digest != control.digest) {
-        std::fprintf(stderr,
-                     "FAILED: arm checksums diverged at sel=%zu%% "
-                     "groups=%s\n",
-                     pct, groups_label.c_str());
-        std::exit(1);
+      // Each arm on its own database (the crackers converge on the arm's
+      // own access pattern in the warm pass), timed in rotated rounds.
+      const Arm arms[] = {Arm::kMaterializeGroup, Arm::kPushdown};
+      const std::unique_ptr<Database> dbs[] = {
+          MakeDatabase(source, effective), MakeDatabase(source, effective)};
+      const std::vector<std::vector<double>> seconds =
+          RunInterleaved(2, 1, rounds, [&](size_t a) {
+            Timer timer;
+            const PassResult pass =
+                RunPass(dbs[a].get(), arms[a], group_attr, preds);
+            const double elapsed = timer.ElapsedSeconds();
+            // Both arms group the identical predicate sequence on
+            // identical data, on every pass; any divergence voids the
+            // timing.
+            if (!baseline.has_value()) baseline = pass;
+            if (pass.total_rows != baseline->total_rows ||
+                pass.total_groups != baseline->total_groups ||
+                pass.digest != baseline->digest) {
+              std::fprintf(stderr,
+                           "FAILED: arm checksums diverged at sel=%zu%% "
+                           "groups=%s\n",
+                           pct, groups_label.c_str());
+              std::exit(1);
+            }
+            if (!pass.reconstruct_zero) {
+              std::fprintf(
+                  stderr,
+                  "FAILED: a pushed-down query charged reconstruction\n");
+              std::exit(1);
+            }
+            return elapsed;
+          });
+      std::vector<double> arm_seconds[2];
+      for (const std::vector<double>& round : seconds) {
+        for (size_t a = 0; a < 2; ++a) arm_seconds[a].push_back(round[a]);
       }
-      if (!push.reconstruct_zero) {
-        std::fprintf(stderr,
-                     "FAILED: a pushed-down query charged reconstruction\n");
-        std::exit(1);
-      }
-
-      const double speedup = push.qps / control.qps;
+      const double n = static_cast<double>(preds.size());
+      const double control_qps = n / Median(arm_seconds[0]);
+      const double push_qps = n / Median(arm_seconds[1]);
+      // Paired per round: control time over pushdown time.
+      const double speedup = MedianRatio(seconds, 0, 1);
       if (column == column_sweep.front()) {
         Point(static_cast<double>(pct), speedup);
       }
       table.AddRow({std::to_string(pct), groups_label, "materialize+group",
-                    Fmt(control.qps, 0), "1.00"});
+                    Fmt(control_qps, 0), "1.00"});
       table.AddRow({std::to_string(pct), groups_label, "pushdown",
-                    Fmt(push.qps, 0), Fmt(speedup, 2)});
+                    Fmt(push_qps, 0), Fmt(speedup, 2)});
       std::printf(
           "BENCH_group_by {\"engine\":\"%s\",\"rows\":%zu,\"queries\":%zu,"
-          "\"sel_pct\":%zu,\"group_card\":%zu,\"group_keys\":\"%s\","
-          "\"kernel_isa\":\"%s\","
+          "\"rounds\":%zu,\"sel_pct\":%zu,\"group_card\":%zu,"
+          "\"group_keys\":\"%s\",\"kernel_isa\":\"%s\","
           "\"materialize_qps\":%.1f,\"pushdown_qps\":%.1f,"
           "\"speedup\":%.3f,"
           "\"resident_column_bytes\":%zu,\"bytes_per_row\":%.2f,"
           "\"reconstruct_zero\":true,\"verified\":true}\n",
-          effective.engine.c_str(), rows, queries, pct, card, keys,
-          kernel_isa,
-          control.qps, push.qps, speedup, storage.resident_column_bytes,
-          storage.bytes_per_row);
+          effective.engine.c_str(), rows, queries, rounds, pct, card, keys,
+          kernel_isa, control_qps, push_qps, speedup,
+          storage.resident_column_bytes, storage.bytes_per_row);
     }
   }
   table.Print();

@@ -98,7 +98,12 @@ void GroupAccumulator::AddChunk(const Value* group_vals, const Key* keys,
     lo = std::min(lo, key_at(i));
     hi = std::max(hi, key_at(i));
   }
-  group_of_.resize(n);
+  // Per-thread scratch, used only within this call: each row's group id,
+  // and the dense path's offset -> id array. Kept across calls so a query
+  // thread does not allocate and free them once per partition.
+  thread_local std::vector<uint32_t> group_of;
+  thread_local std::vector<uint32_t> dense_ids;
+  group_of.resize(n);
   // Unsigned difference: a [kMinValue, kMaxValue] chunk spans 2^64 - 1
   // without signed overflow and simply takes the hash path.
   const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
@@ -106,27 +111,27 @@ void GroupAccumulator::AddChunk(const Value* group_vals, const Key* keys,
     // Dense domain: a flat offset -> id array replaces the per-row probe,
     // so IdFor runs once per distinct key. The span <= n guard keeps the
     // array's initialization no dearer than the chunk itself.
-    dense_ids_.assign(span + 1, kEmptySlot);
+    dense_ids.assign(span + 1, kEmptySlot);
     for (size_t i = 0; i < n; ++i) {
       const Value key = key_at(i);
-      uint32_t& id = dense_ids_[static_cast<uint64_t>(key) -
-                                static_cast<uint64_t>(lo)];
+      uint32_t& id = dense_ids[static_cast<uint64_t>(key) -
+                               static_cast<uint64_t>(lo)];
       if (id == kEmptySlot) id = IdFor(key);
       ++table_.counts[id];
-      group_of_[i] = id;
+      group_of[i] = id;
     }
   } else {
     for (size_t i = 0; i < n; ++i) {
       const uint32_t id = IdFor(key_at(i));
       ++table_.counts[id];
-      group_of_[i] = id;
+      group_of[i] = id;
     }
   }
   for (size_t a = 0; a < agg_columns.size(); ++a) {
     const Value* column = agg_columns[a];
     if (column == nullptr) continue;  // kCount: no values to fold.
     kernels::FoldGroup(ToFoldOp(consume_->group_aggs[a].op), column, keys,
-                       group_of_.data(), n, table_.aggregates[a].data());
+                       group_of.data(), n, table_.aggregates[a].data());
   }
 }
 

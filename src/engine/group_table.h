@@ -77,10 +77,6 @@ class GroupAccumulator {
   /// Slot array of dense ids (UINT32_MAX = empty); capacity is a power of
   /// two, grown at ~0.7 load.
   std::vector<uint32_t> slots_;
-  /// Scratch reused across AddChunk calls: each row's group id, and the
-  /// dense path's offset -> id array.
-  std::vector<uint32_t> group_of_;
-  std::vector<uint32_t> dense_ids_;
 };
 
 /// Sorts a partial table by group key ascending and fills kCount aggregate

@@ -80,8 +80,9 @@ bool EncodedServable(const Relation& part, const QuerySpec& spec,
 /// incompressible ones raw): raw columns go through the regular dispatched
 /// kernels over their value vectors, encoded ones through the codec's
 /// encoded-domain kernels. Either way the partition's layout is unchanged
-/// and the fold order matches the raw path position-for-position, so sums
-/// (mod 2^64) and min/max land bit-identical to the decompressed answer.
+/// and the fold sees the same multiset of values as the raw path; sums are
+/// mod 2^64 and min/max order-independent, so answers land bit-identical
+/// to the decompressed answer in any fold order (by run, code or span).
 void ServeEncoded(const Relation& part, const QuerySpec& spec,
                   const ConsumeSpec& consume, size_t* num_rows,
                   Value* aggregate, bool* aggregate_valid) {
@@ -117,22 +118,23 @@ void ServeEncoded(const Relation& part, const QuerySpec& spec,
                                     aggregate_valid);
     return;
   }
-  // Two-column (or raw-selection) shape: matching positions off the
-  // selection column, then fold the aggregate column at those positions.
-  std::vector<Key> keys;
+  // Two-column (or raw-selection) shape: the selection column names its
+  // matching rows, as position spans when its layout can (codec.h), then
+  // the aggregate column folds over them. The selection is per-thread
+  // scratch, reused by every partition task that runs on this thread.
+  thread_local RowSelection rows;
   if (sel_col->compressed()) {
-    EncodedSelect(*sel_col->encoded(), sel->pred, 0, &keys);
+    EncodedSelect(*sel_col->encoded(), sel->pred, &rows);
   } else {
+    rows.Reset(true);
     kernels::SelectRange(sel_col->values().data(), sel_col->size(), sel->pred,
-                         0, &keys);
+                         0, &rows.positions);
   }
-  *num_rows = keys.size();
-  if (keys.empty()) return;
+  *num_rows = rows.size();
   if (agg.compressed()) {
-    EncodedGatherFold(*agg.encoded(), keys, op, aggregate, aggregate_valid);
+    FoldSelection(*agg.encoded(), rows, op, aggregate, aggregate_valid);
   } else {
-    kernels::FoldGather(op, agg.values().data(), keys.data(), keys.size(),
-                        aggregate, aggregate_valid);
+    FoldSelection(agg.values(), rows, op, aggregate, aggregate_valid);
   }
 }
 

@@ -83,6 +83,49 @@ CodeRange Translate(const EncodedColumn& enc, const RangePredicate& pred) {
                                      : TranslateDict(enc, pred);
 }
 
+/// True when a translated range holds every code of a packed column, i.e.
+/// the predicate covers the value frame and matches all n rows.
+bool CoversAllCodes(const EncodedColumn& enc, const CodeRange& r) {
+  const uint64_t max_code = enc.kind == CodecKind::kFor
+                                ? enc.for_range
+                                : static_cast<uint64_t>(enc.dict.size()) - 1;
+  return r.lo == 0 && r.hi >= max_code;
+}
+
+uint64_t CodeAt(const EncodedColumn& enc, size_t i) {
+  return enc.bits == 0 ? 0 : kernels::PackedGet(enc.words.data(), enc.bits, i);
+}
+
+/// First position whose code is >= `code` in a sorted packed column.
+size_t LowerBoundCode(const EncodedColumn& enc, uint64_t code) {
+  size_t first = 0;
+  size_t len = enc.n;
+  while (len > 0) {
+    const size_t half = len / 2;
+    if (CodeAt(enc, first + half) < code) {
+      first += half + 1;
+      len -= half + 1;
+    } else {
+      len = half;
+    }
+  }
+  return first;
+}
+
+/// The one span of a sorted packed column whose codes lie in the
+/// (non-empty) range r. r.hi + 1 cannot wrap: codes stay below 2^63.
+PositionRange SortedSpan(const EncodedColumn& enc, const CodeRange& r) {
+  return {LowerBoundCode(enc, r.lo), LowerBoundCode(enc, r.hi + 1)};
+}
+
+/// Per-thread code histogram, zeroed to `size` entries. Reused across
+/// calls so a query thread does not allocate and free one per partition.
+std::vector<uint32_t>& HistogramScratch(size_t size) {
+  thread_local std::vector<uint32_t> hist;
+  hist.assign(size, 0);
+  return hist;
+}
+
 /// Dictionary folds walk a per-code occurrence histogram: each distinct
 /// value folds hist[c] times in one step, which is bit-identical to the
 /// positional fold (sums are mod-2^64 commutative, min/max
@@ -126,62 +169,138 @@ size_t HistogramFold(const std::vector<Value>& dict, const uint32_t* hist,
 size_t DictFold(const EncodedColumn& enc, uint64_t lo_code, uint64_t hi_code,
                 FoldOp op, Value* acc, bool* valid) {
   hi_code = std::min(hi_code, static_cast<uint64_t>(enc.dict.size()) - 1);
-  std::vector<uint32_t> local;
   const uint32_t* hist = enc.code_hist.data();
   if (enc.code_hist.empty()) {
-    local.assign(enc.dict.size(), 0);
-    for (size_t i = 0; i < enc.n; ++i) {
-      ++local[enc.bits == 0
-                  ? 0
-                  : kernels::PackedGet(enc.words.data(), enc.bits, i)];
-    }
+    std::vector<uint32_t>& local = HistogramScratch(enc.dict.size());
+    for (size_t i = 0; i < enc.n; ++i) ++local[CodeAt(enc, i)];
     hist = local.data();
   }
   return HistogramFold(enc.dict, hist, lo_code, hi_code, op, acc, valid);
 }
 
-/// Folds value_at(k) over every k in (non-empty) `positions` into
-/// (*acc, *valid). A template so each codec's decode inlines into the
-/// loop instead of paying DecodeAt's switch per position.
-template <typename ValueAt>
-void GatherFoldWith(std::span<const Key> positions, FoldOp op,
-                    ValueAt value_at, Value* acc, bool* valid) {
-  Value result = value_at(positions[0]);
+/// Row visitors for the fold templates below: each calls f(k) for every
+/// selected row k, in selection order.
+auto EachPosition(std::span<const Key> positions) {
+  return [positions](auto&& f) {
+    for (const Key k : positions) f(k);
+  };
+}
+
+auto EachSpannedRow(std::span<const PositionRange> spans) {
+  return [spans](auto&& f) {
+    for (const PositionRange& s : spans) {
+      for (size_t k = s.begin; k < s.end; ++k) f(k);
+    }
+  };
+}
+
+/// Folds value_at(k) over every row k that `each_row` visits (at least
+/// one) into (*acc, *valid). A template so each codec's decode inlines
+/// into the loop instead of paying DecodeAt's switch per row.
+template <typename EachRow, typename ValueAt>
+void FoldRowsWith(EachRow each_row, FoldOp op, ValueAt value_at, Value* acc,
+                  bool* valid) {
+  Value result = 0;
   switch (op) {
     case FoldOp::kSum: {
-      uint64_t sum = static_cast<uint64_t>(result);
-      for (size_t i = 1; i < positions.size(); ++i) {
-        sum += static_cast<uint64_t>(value_at(positions[i]));
-      }
+      uint64_t sum = 0;
+      each_row([&](size_t k) { sum += static_cast<uint64_t>(value_at(k)); });
       result = static_cast<Value>(sum);
       break;
     }
     case FoldOp::kMin:
-      for (size_t i = 1; i < positions.size(); ++i) {
-        result = std::min(result, value_at(positions[i]));
-      }
+      result = kMaxValue;
+      each_row([&](size_t k) { result = std::min(result, value_at(k)); });
       break;
     case FoldOp::kMax:
-      for (size_t i = 1; i < positions.size(); ++i) {
-        result = std::max(result, value_at(positions[i]));
-      }
+      result = kMinValue;
+      each_row([&](size_t k) { result = std::max(result, value_at(k)); });
       break;
   }
   kernels::FoldSpan(op, &result, 1, acc, valid);
 }
 
-/// Bit-packs `codes` (one per input value) into out->words and
-/// accumulates out->code_sum (wrapping mod 2^64).
+/// Folds the `count` (> 0) rows `each_row` visits in a packed (FOR or
+/// dictionary) column. Dictionaries count the selected codes, then fold
+/// each distinct value once: the same histogram walk as the whole-column
+/// dictionary fold. Counts fit uint32_t: a selection holds one entry per
+/// selected row, and Key addresses a partition's rows in 32 bits.
+template <typename EachRow>
+void FoldPackedRows(const EncodedColumn& enc, EachRow each_row, size_t count,
+                    FoldOp op, Value* acc, bool* valid) {
+  const uint64_t* words = enc.words.data();
+  const unsigned bits = enc.bits;
+  if (enc.kind == CodecKind::kDict) {
+    std::vector<uint32_t>& hist = HistogramScratch(enc.dict.size());
+    if (bits == 0) {
+      hist[0] = static_cast<uint32_t>(count);
+    } else {
+      each_row([&](size_t k) { ++hist[kernels::PackedGet(words, bits, k)]; });
+    }
+    HistogramFold(enc.dict, hist.data(), 0, enc.dict.size() - 1, op, acc,
+                  valid);
+    return;
+  }
+  if (bits == 0) {
+    FoldRowsWith(each_row, op, [&](size_t) { return enc.for_base; }, acc,
+                 valid);
+    return;
+  }
+  const uint64_t base = static_cast<uint64_t>(enc.for_base);
+  FoldRowsWith(
+      each_row, op,
+      [&](size_t k) {
+        return static_cast<Value>(base + kernels::PackedGet(words, bits, k));
+      },
+      acc, valid);
+}
+
+/// RLE fold over (non-empty) spans: each run folds once, clipped to the
+/// span, so a sum adds value * overlap. Spans ascend, so each span's first
+/// run is searched from the previous span's last.
+void RleSpanFold(const EncodedColumn& enc,
+                 std::span<const PositionRange> spans, FoldOp op, Value* acc,
+                 bool* valid) {
+  const std::vector<uint32_t>& starts = enc.run_starts;
+  uint64_t sum = 0;
+  Value result = op == FoldOp::kMin ? kMaxValue : kMinValue;
+  size_t first = 0;
+  for (const PositionRange& s : spans) {
+    // The run holding s.begin: the last one starting at or before it.
+    size_t r = static_cast<size_t>(
+        std::upper_bound(starts.begin() + first, starts.end(), s.begin) -
+        starts.begin() - 1);
+    // starts[num_runs] == n >= s.end bounds the walk.
+    for (; starts[r] < s.end; ++r) {
+      const Value v = enc.run_values[r];
+      const size_t overlap = std::min<size_t>(s.end, starts[r + 1]) -
+                             std::max<size_t>(s.begin, starts[r]);
+      sum += static_cast<uint64_t>(v) * overlap;
+      result = op == FoldOp::kMin ? std::min(result, v) : std::max(result, v);
+    }
+    first = r - 1;  // the last run may continue into the next span
+  }
+  if (op == FoldOp::kSum) result = static_cast<Value>(sum);
+  kernels::FoldSpan(op, &result, 1, acc, valid);
+}
+
+/// Bit-packs `codes` (one per input value) into out->words, accumulates
+/// out->code_sum (wrapping mod 2^64) and records whether the codes are
+/// non-decreasing.
 void Pack(std::span<const Value> values, Value base, unsigned bits,
           EncodedColumn* out) {
   out->bits = bits;
   out->words.assign(kernels::PackedWordCount(bits, values.size()), 0);
+  out->sorted = true;
   if (bits == 0) return;
+  uint64_t prev = 0;
   for (size_t i = 0; i < values.size(); ++i) {
     const uint64_t code = static_cast<uint64_t>(values[i]) -
                           static_cast<uint64_t>(base);
     kernels::PackedSet(out->words.data(), bits, i, code);
     out->code_sum += code;
+    out->sorted = out->sorted && code >= prev;
+    prev = code;
   }
 }
 
@@ -325,22 +444,12 @@ std::vector<Value> DecodeColumn(const EncodedColumn& enc) {
   switch (enc.kind) {
     case CodecKind::kFor:
       for (size_t i = 0; i < enc.n; ++i) {
-        const uint64_t c =
-            enc.bits == 0
-                ? 0
-                : kernels::PackedGet(enc.words.data(), enc.bits, i);
-        out[i] =
-            static_cast<Value>(static_cast<uint64_t>(enc.for_base) + c);
+        out[i] = static_cast<Value>(static_cast<uint64_t>(enc.for_base) +
+                                    CodeAt(enc, i));
       }
       break;
     case CodecKind::kDict:
-      for (size_t i = 0; i < enc.n; ++i) {
-        const uint64_t c =
-            enc.bits == 0
-                ? 0
-                : kernels::PackedGet(enc.words.data(), enc.bits, i);
-        out[i] = enc.dict[c];
-      }
+      for (size_t i = 0; i < enc.n; ++i) out[i] = enc.dict[CodeAt(enc, i)];
       break;
     case CodecKind::kRle:
       for (size_t r = 0; r < enc.num_runs(); ++r) {
@@ -358,18 +467,11 @@ std::vector<Value> DecodeColumn(const EncodedColumn& enc) {
 Value DecodeAt(const EncodedColumn& enc, size_t i) {
   assert(i < enc.n);
   switch (enc.kind) {
-    case CodecKind::kFor: {
-      const uint64_t c =
-          enc.bits == 0 ? 0
-                        : kernels::PackedGet(enc.words.data(), enc.bits, i);
-      return static_cast<Value>(static_cast<uint64_t>(enc.for_base) + c);
-    }
-    case CodecKind::kDict: {
-      const uint64_t c =
-          enc.bits == 0 ? 0
-                        : kernels::PackedGet(enc.words.data(), enc.bits, i);
-      return enc.dict[c];
-    }
+    case CodecKind::kFor:
+      return static_cast<Value>(static_cast<uint64_t>(enc.for_base) +
+                                CodeAt(enc, i));
+    case CodecKind::kDict:
+      return enc.dict[CodeAt(enc, i)];
     case CodecKind::kRle: {
       const auto it = std::upper_bound(enc.run_starts.begin(),
                                        enc.run_starts.end(),
@@ -399,6 +501,8 @@ size_t EncodedCount(const EncodedColumn& enc, const RangePredicate& pred) {
   }
   const CodeRange r = Translate(enc, pred);
   if (r.empty) return 0;
+  if (CoversAllCodes(enc, r)) return enc.n;
+  if (enc.sorted) return SortedSpan(enc, r).size();
   if (enc.kind == CodecKind::kDict && !enc.code_hist.empty()) {
     // The encode-time histogram answers dictionary counts in O(|dict|).
     const uint64_t hi =
@@ -410,18 +514,61 @@ size_t EncodedCount(const EncodedColumn& enc, const RangePredicate& pred) {
   return kernels::CountPacked(enc.words.data(), enc.bits, enc.n, r.lo, r.hi);
 }
 
+size_t RowSelection::size() const {
+  if (positional) return positions.size();
+  size_t total = 0;
+  for (const PositionRange& s : spans) total += s.size();
+  return total;
+}
+
+std::vector<Key> RowSelection::ToPositions() const {
+  if (positional) return positions;
+  std::vector<Key> out;
+  out.reserve(size());
+  for (const PositionRange& s : spans) {
+    for (size_t k = s.begin; k < s.end; ++k) out.push_back(static_cast<Key>(k));
+  }
+  return out;
+}
+
+void RowSelection::Reset(bool as_positions) {
+  positional = as_positions;
+  spans.clear();
+  positions.clear();
+}
+
 void EncodedSelect(const EncodedColumn& enc, const RangePredicate& pred,
-                   Key base, std::vector<Key>* out) {
+                   RowSelection* out) {
+  out->Reset(false);
   if (enc.n == 0) return;
+  std::vector<PositionRange>& spans = out->spans;
   if (enc.kind == CodecKind::kRle) {
-    kernels::SelectRle(enc.run_values.data(), enc.run_starts.data(),
-                       enc.num_runs(), pred, base, out);
+    for (size_t r = 0; r < enc.num_runs(); ++r) {
+      if (!pred.Matches(enc.run_values[r])) continue;
+      const size_t begin = enc.run_starts[r];
+      const size_t end = enc.run_starts[r + 1];
+      if (!spans.empty() && spans.back().end == begin) {
+        spans.back().end = end;
+      } else {
+        spans.push_back({begin, end});
+      }
+    }
     return;
   }
   const CodeRange r = Translate(enc, pred);
   if (r.empty) return;
-  kernels::SelectPacked(enc.words.data(), enc.bits, enc.n, r.lo, r.hi, base,
-                        out);
+  if (CoversAllCodes(enc, r)) {
+    spans.push_back({0, enc.n});
+    return;
+  }
+  if (enc.sorted) {
+    const PositionRange s = SortedSpan(enc, r);
+    if (!s.empty()) spans.push_back(s);
+    return;
+  }
+  out->positional = true;
+  kernels::SelectPacked(enc.words.data(), enc.bits, enc.n, r.lo, r.hi, 0,
+                        &out->positions);
 }
 
 void EncodedFold(const EncodedColumn& enc, kernels::FoldOp op, Value* acc,
@@ -500,61 +647,57 @@ void EncodedGatherFold(const EncodedColumn& enc,
                        std::span<const Key> positions, kernels::FoldOp op,
                        Value* acc, bool* valid) {
   if (positions.empty()) return;
-  switch (enc.kind) {
-    case CodecKind::kRle: {
-      // Ascending selection vectors walk the runs forward instead of
-      // paying a binary search per position; non-ascending input restarts
-      // the walk.
-      size_t run = 0;
-      GatherFoldWith(
-          positions, op,
-          [&](Key k) {
-            if (k < enc.run_starts[run]) run = 0;
-            while (enc.run_starts[run + 1] <= k) ++run;
-            return enc.run_values[run];
-          },
-          acc, valid);
-      return;
-    }
-    case CodecKind::kFor: {
-      if (enc.bits == 0) {
-        GatherFoldWith(
-            positions, op, [&](Key) { return enc.for_base; }, acc, valid);
-        return;
-      }
-      const uint64_t base = static_cast<uint64_t>(enc.for_base);
-      const uint64_t* words = enc.words.data();
-      const unsigned bits = enc.bits;
-      GatherFoldWith(
-          positions, op,
-          [&](Key k) {
-            return static_cast<Value>(base +
-                                      kernels::PackedGet(words, bits, k));
-          },
-          acc, valid);
-      return;
-    }
-    case CodecKind::kDict: {
-      // Count the selected codes, then fold each distinct value once: the
-      // same histogram walk as the whole-column dictionary fold. Counts
-      // fit uint32_t: a selection vector holds one position per selected
-      // row, and Key addresses a partition's rows in 32 bits.
-      std::vector<uint32_t> hist(enc.dict.size(), 0);
-      if (enc.bits == 0) {
-        hist[0] = static_cast<uint32_t>(positions.size());
-      } else {
-        for (const Key k : positions) {
-          ++hist[kernels::PackedGet(enc.words.data(), enc.bits, k)];
-        }
-      }
-      HistogramFold(enc.dict, hist.data(), 0, enc.dict.size() - 1, op, acc,
-                    valid);
-      return;
-    }
-    case CodecKind::kRaw:
-      break;
+  if (enc.kind == CodecKind::kRle) {
+    // Ascending selection vectors walk the runs forward instead of paying
+    // a binary search per position; non-ascending input restarts the walk.
+    size_t run = 0;
+    FoldRowsWith(
+        EachPosition(positions), op,
+        [&](size_t k) {
+          if (k < enc.run_starts[run]) run = 0;
+          while (enc.run_starts[run + 1] <= k) ++run;
+          return enc.run_values[run];
+        },
+        acc, valid);
+    return;
   }
-  assert(false && "EncodedGatherFold on a raw column");
+  assert(enc.kind != CodecKind::kRaw && "EncodedGatherFold on a raw column");
+  FoldPackedRows(enc, EachPosition(positions), positions.size(), op, acc,
+                 valid);
+}
+
+void FoldSelection(const EncodedColumn& enc, const RowSelection& rows,
+                   kernels::FoldOp op, Value* acc, bool* valid) {
+  if (rows.positional) {
+    EncodedGatherFold(enc, rows.positions, op, acc, valid);
+    return;
+  }
+  const std::vector<PositionRange>& spans = rows.spans;
+  if (spans.empty()) return;
+  if (spans.size() == 1 && spans[0].begin == 0 && spans[0].end == enc.n) {
+    // The whole column: frame metadata, code_hist, or every run once.
+    EncodedFold(enc, op, acc, valid);
+    return;
+  }
+  if (enc.kind == CodecKind::kRle) {
+    RleSpanFold(enc, spans, op, acc, valid);
+    return;
+  }
+  assert(enc.kind != CodecKind::kRaw && "FoldSelection on a raw column");
+  FoldPackedRows(enc, EachSpannedRow(spans), rows.size(), op, acc, valid);
+}
+
+void FoldSelection(std::span<const Value> values, const RowSelection& rows,
+                   kernels::FoldOp op, Value* acc, bool* valid) {
+  if (rows.positional) {
+    if (rows.positions.empty()) return;
+    kernels::FoldGather(op, values.data(), rows.positions.data(),
+                        rows.positions.size(), acc, valid);
+    return;
+  }
+  for (const PositionRange& s : rows.spans) {
+    kernels::FoldSpan(op, values.data() + s.begin, s.size(), acc, valid);
+  }
 }
 
 }  // namespace crackdb

@@ -22,6 +22,12 @@ namespace crackdb {
 /// domain cannot serve (tuple reconstruction, writes, multi-selection
 /// plans) decompress the partition first — crack-on-touch — which is how
 /// the hot/raw vs cold/compressed split self-organizes.
+///
+/// Selections come back as position spans whenever the encoded form can
+/// name its matches as ranges without a per-row scan (see EncodedSelect),
+/// so the fold that follows walks runs and ranges instead of a position
+/// list: the random access through positions the paper's cost model
+/// charges to tuple reconstruction is skipped when the layout allows it.
 enum class CodecKind : uint8_t {
   kRaw = 0,   ///< No encoding; the column owns a plain std::vector<Value>.
   kFor = 1,   ///< Frame-of-reference: bit-packed offsets from the minimum.
@@ -87,8 +93,12 @@ struct EncodedColumn {
   ///    EncodeColumn refuses columns with more rows than Key can address.
   ///  - kFor: code_sum = sum of all codes mod 2^64, so the unfiltered Sum
   ///    is n * for_base + code_sum and Min/Max are the frame endpoints.
+  ///  - kFor: `sorted` = the codes are non-decreasing in position order
+  ///    (a load-ordered key such as a timestamp), so a range predicate
+  ///    matches one contiguous span found by two binary searches.
   std::vector<uint32_t> code_hist;
   uint64_t code_sum = 0;
+  bool sorted = false;
 
   size_t num_runs() const {
     return run_starts.empty() ? 0 : run_starts.size() - 1;
@@ -121,11 +131,40 @@ Value DecodeAt(const EncodedColumn& enc, size_t i);
 size_t EncodedBytes(const EncodedColumn& enc);
 
 /// Count of positions matching `pred`, evaluated in the encoded domain.
+/// Packed columns follow EncodedSelect's span rule: n when the predicate
+/// covers the value frame, two binary searches on sorted FOR, else the
+/// dictionary's code_hist or a packed-code scan.
 size_t EncodedCount(const EncodedColumn& enc, const RangePredicate& pred);
 
-/// Appends `base + i` for every matching position i, ascending.
+/// The rows of one partition column that a selection matched, in one of
+/// two forms. With `positional` false, `spans` holds ascending, disjoint,
+/// non-adjacent [begin, end) ranges; with it true, `positions` holds every
+/// matching row, ascending. The unused form is empty. Callers reuse one
+/// object across selections so both vectors keep their capacity.
+struct RowSelection {
+  bool positional = false;
+  std::vector<PositionRange> spans;
+  std::vector<Key> positions;
+
+  /// Number of matching rows.
+  size_t size() const;
+  /// Every matching row, ascending, whichever the form. For checks: the
+  /// fold paths never expand spans.
+  std::vector<Key> ToPositions() const;
+  /// Empties both forms (keeping capacity) and sets `positional`.
+  void Reset(bool as_positions);
+};
+
+/// Selects the rows matching `pred`. Spans whenever the encoded form names
+/// them without a per-row scan:
+///  - the predicate covers the value frame (FOR [for_base, for_base +
+///    for_range], or the dictionary's first and last entries): [0, n);
+///  - sorted FOR: one span from two binary searches over the codes;
+///  - RLE: the matching runs, adjacent runs coalesced.
+/// Otherwise (unsorted FOR, a dictionary range that does not cover) the
+/// packed codes are scanned into positions.
 void EncodedSelect(const EncodedColumn& enc, const RangePredicate& pred,
-                   Key base, std::vector<Key>* out);
+                   RowSelection* out);
 
 /// Folds every position into (*acc, *valid) with FoldSpan merge
 /// semantics (wrapping sums; *valid set once any value folds in).
@@ -137,11 +176,24 @@ size_t EncodedFoldFiltered(const EncodedColumn& enc,
                            const RangePredicate& pred, kernels::FoldOp op,
                            Value* acc, bool* valid);
 
-/// Folds the values at `positions` (selection vector from another
-/// column's EncodedSelect, already rebased to this partition).
+/// Folds the values at `positions` (a selection vector over this
+/// partition's rows, in any order).
 void EncodedGatherFold(const EncodedColumn& enc,
                        std::span<const Key> positions, kernels::FoldOp op,
                        Value* acc, bool* valid);
+
+/// Folds the rows of `rows` (another column's selection over the same
+/// partition) into (*acc, *valid). Positions go through EncodedGatherFold.
+/// Spans fold by layout: RLE run by run, each run clipped to the span (a
+/// sum adds value * overlap); dictionaries through a code histogram
+/// (the encode-time code_hist when the span is the whole column); FOR from
+/// the frame metadata for [0, n), else from the packed codes.
+void FoldSelection(const EncodedColumn& enc, const RowSelection& rows,
+                   kernels::FoldOp op, Value* acc, bool* valid);
+
+/// The same over a raw column: FoldGather for positions, FoldSpan per span.
+void FoldSelection(std::span<const Value> values, const RowSelection& rows,
+                   kernels::FoldOp op, Value* acc, bool* valid);
 
 }  // namespace crackdb
 

@@ -1,8 +1,10 @@
 // Codec-layer contract (storage/codec.h): ChooseCodec picks by the
 // documented stats thresholds; every codec round-trips bit-for-bit
-// (including wrapping INT64_MIN-based FOR frames); and the encoded-domain
+// (including wrapping INT64_MIN-based FOR frames); the encoded-domain
 // query entry points (count/select/fold/filtered-fold/gather-fold) agree
-// with a direct oracle over the raw values for every predicate shape.
+// with a direct oracle over the raw values for every predicate shape; and
+// span selections and span folds agree with the position kernels and the
+// gather-fold they replace.
 
 #include "storage/codec.h"
 
@@ -141,8 +143,11 @@ void CheckEncodedAgainstOracle(const std::vector<Value>& values,
     const OracleResult want = Oracle(values, pred, 100);
     EXPECT_EQ(EncodedCount(enc, pred), want.count) << CodecName(kind);
 
-    std::vector<Key> keys;
-    EncodedSelect(enc, pred, 100, &keys);
+    RowSelection rows;
+    EncodedSelect(enc, pred, &rows);
+    EXPECT_EQ(rows.size(), want.count) << CodecName(kind);
+    std::vector<Key> keys = rows.ToPositions();
+    for (Key& k : keys) k += 100;
     EXPECT_EQ(keys, want.keys) << CodecName(kind);
 
     const struct {
@@ -166,13 +171,20 @@ void CheckEncodedAgainstOracle(const std::vector<Value>& values,
       }
     }
 
-    // Gather-fold over the oracle's selection vector (rebased to 0).
+    // Gather-fold over the oracle's selection vector (rebased to 0), and
+    // the selection fold over the column's own selection.
     std::vector<Key> positions = want.keys;
     for (Key& k : positions) k -= 100;
     for (const auto& fold : folds) {
       Value acc = 123;
       bool valid = false;
       EncodedGatherFold(enc, positions, fold.op, &acc, &valid);
+      EXPECT_EQ(valid, want.valid) << CodecName(kind);
+      EXPECT_EQ(acc, want.valid ? fold.expected : 123)
+          << CodecName(kind) << " op=" << static_cast<int>(fold.op);
+      acc = 123;
+      valid = false;
+      FoldSelection(enc, rows, fold.op, &acc, &valid);
       EXPECT_EQ(valid, want.valid) << CodecName(kind);
       EXPECT_EQ(acc, want.valid ? fold.expected : 123)
           << CodecName(kind) << " op=" << static_cast<int>(fold.op);
@@ -475,6 +487,324 @@ TEST(CodecGatherFoldTest, ForAndRle) {
   std::vector<Value> wrap_runs = Runs(&rng, 1000, 16, 500);
   for (Value& v : wrap_runs) v = kMaxValue - v;
   CheckGatherFold(wrap_runs, CodecKind::kRle, "rle wrap");
+}
+
+// ---------------------------------------------------------------------------
+// Span selection and span fold against the position paths they replace
+// ---------------------------------------------------------------------------
+
+/// Today's position select and count, straight off the kernels: the
+/// predicate is translated into the code domain by hand (FOR: value -
+/// for_base clipped to the frame; dictionary: the sorted-dict index range)
+/// and handed to SelectPacked/CountPacked, or to SelectRle/CountRle.
+std::vector<Key> PositionSelect(const EncodedColumn& enc,
+                                const RangePredicate& pred, size_t* count) {
+  std::vector<Key> out;
+  *count = 0;
+  if (enc.n == 0) return out;
+  if (enc.kind == CodecKind::kRle) {
+    kernels::SelectRle(enc.run_values.data(), enc.run_starts.data(),
+                       enc.num_runs(), pred, 0, &out);
+    *count = kernels::CountRle(enc.run_values.data(), enc.run_starts.data(),
+                               enc.num_runs(), pred);
+    return out;
+  }
+  // Closed bounds [lo, hi] in the value domain.
+  Value lo = pred.low;
+  Value hi = pred.high;
+  if (!pred.low_inclusive) {
+    if (lo == kMaxValue) return out;
+    ++lo;
+  }
+  if (!pred.high_inclusive) {
+    if (hi == kMinValue) return out;
+    --hi;
+  }
+  if (lo > hi) return out;
+  uint64_t code_lo = 0;
+  uint64_t code_hi = 0;
+  if (enc.kind == CodecKind::kFor) {
+    const Value frame_lo = enc.for_base;
+    const Value frame_hi = static_cast<Value>(
+        static_cast<uint64_t>(enc.for_base) + enc.for_range);
+    lo = std::max(lo, frame_lo);
+    hi = std::min(hi, frame_hi);
+    if (lo > hi) return out;
+    code_lo = static_cast<uint64_t>(lo) - static_cast<uint64_t>(frame_lo);
+    code_hi = static_cast<uint64_t>(hi) - static_cast<uint64_t>(frame_lo);
+  } else {
+    const auto first = std::lower_bound(enc.dict.begin(), enc.dict.end(), lo);
+    const auto last = std::upper_bound(enc.dict.begin(), enc.dict.end(), hi);
+    if (first == last) return out;
+    code_lo = static_cast<uint64_t>(first - enc.dict.begin());
+    code_hi = static_cast<uint64_t>(last - enc.dict.begin()) - 1;
+  }
+  kernels::SelectPacked(enc.words.data(), enc.bits, enc.n, code_lo, code_hi,
+                        0, &out);
+  *count = kernels::CountPacked(enc.words.data(), enc.bits, enc.n, code_lo,
+                                code_hi);
+  return out;
+}
+
+/// Predicates at and around the frame [lo, hi] of a selection column:
+/// exactly at the edges (inclusive and exclusive), covering it, points on
+/// it, empty ones on either side, plus the oracle matrix's shapes.
+std::vector<RangePredicate> EdgePredicates(Value lo, Value hi) {
+  std::vector<RangePredicate> preds = Predicates(lo, hi);
+  const std::vector<RangePredicate> edges = {
+      RangePredicate::Closed(lo, hi),            // exactly the frame
+      RangePredicate::Open(lo, hi),              // frame minus both edges
+      RangePredicate::HalfOpen(lo, hi),          // minus the top edge
+      RangePredicate{lo, hi, false, true},       // minus the bottom edge
+      RangePredicate::Point(lo),
+      RangePredicate::Point(hi),
+      RangePredicate{kMinValue, lo, true, true},  // touches the bottom
+      RangePredicate{kMinValue, lo, true, false},  // just below: empty
+      RangePredicate{hi, kMaxValue, true, true},   // touches the top
+      RangePredicate{hi, kMaxValue, false, true},  // just above: empty
+  };
+  preds.insert(preds.end(), edges.begin(), edges.end());
+  return preds;
+}
+
+/// One aggregate column the selection folds: encoded with `kind`, or raw
+/// when `kind` is kRaw.
+struct AggColumn {
+  std::string what;
+  std::vector<Value> values;
+  CodecKind kind = CodecKind::kRaw;
+};
+
+/// Aggregate columns of `n` rows in every layout the span fold handles.
+std::vector<AggColumn> AggColumns(Rng* rng, size_t n) {
+  std::vector<Value> ascending(n);
+  for (size_t i = 0; i < n; ++i) ascending[i] = static_cast<Value>(i / 2) - 7;
+  std::vector<AggColumn> cols = {
+      {"for", Uniform(rng, n, -1000, 1000), CodecKind::kFor},
+      {"for sorted", ascending, CodecKind::kFor},
+      {"for wrap", NearMax(rng, n, 5000), CodecKind::kFor},
+      {"for bits=0", std::vector<Value>(n, kMaxValue), CodecKind::kFor},
+      {"dict", LowCardinality(rng, n, n / 2 + 1), CodecKind::kDict},
+      {"dict wrap", NearMax(rng, n, 16), CodecKind::kDict},
+      {"dict bits=0", std::vector<Value>(n, -3), CodecKind::kDict},
+      {"rle", Runs(rng, n, 8, 300), CodecKind::kRle},
+      {"raw", Uniform(rng, n, kMinValue / 4, kMaxValue / 4), CodecKind::kRaw},
+  };
+  if (n >= 256) {
+    cols.push_back({"dict+hist", LowCardinality(rng, n, 16), CodecKind::kDict});
+  }
+  return cols;
+}
+
+enum class Form { kSpans, kPositions };
+
+/// Encodes `values` with `kind` and, for every edge predicate, checks:
+/// EncodedSelect and EncodedCount against the position kernels; the
+/// selection's form (`sub_frame_form` for a non-covering FOR/dict
+/// predicate, spans always for covering predicates and RLE); the span
+/// invariants (ascending, non-empty, disjoint, non-adjacent); and
+/// FoldSelection against EncodedGatherFold (raw: FoldGather) over the
+/// expanded positions for every aggregate layout, op and starting
+/// accumulator.
+void CheckSpanPaths(const std::vector<Value>& values, CodecKind kind,
+                    Form sub_frame_form, const std::string& what) {
+  EncodedColumn enc;
+  ASSERT_TRUE(EncodeColumn(values, kind, &enc)) << what;
+  Rng rng(values.size() + 3);
+  std::vector<AggColumn> aggs = AggColumns(&rng, values.size());
+  std::vector<EncodedColumn> agg_enc(aggs.size());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].kind == CodecKind::kRaw) continue;
+    ASSERT_TRUE(EncodeColumn(aggs[a].values, aggs[a].kind, &agg_enc[a]))
+        << aggs[a].what;
+  }
+  const auto [lo_it, hi_it] = std::minmax_element(values.begin(), values.end());
+  RowSelection rows;
+  for (const RangePredicate& pred : EdgePredicates(*lo_it, *hi_it)) {
+    const std::string where = what + " pred=" + pred.ToString();
+    size_t want_count = 0;
+    const std::vector<Key> want = PositionSelect(enc, pred, &want_count);
+    ASSERT_EQ(want_count, want.size()) << where;
+    EXPECT_EQ(EncodedCount(enc, pred), want_count) << where;
+    EncodedSelect(enc, pred, &rows);
+    ASSERT_EQ(rows.ToPositions(), want) << where;
+    ASSERT_EQ(rows.size(), want.size()) << where;
+
+    // An empty selection may take either form (a predicate outside the
+    // frame never reaches the codes; one inside a gap of an unsorted
+    // column scans them and finds nothing).
+    const bool covers = want.size() == values.size();
+    const Form form = kind == CodecKind::kRle || covers ? Form::kSpans
+                                                        : sub_frame_form;
+    if (!want.empty()) {
+      EXPECT_EQ(rows.positional, form == Form::kPositions) << where;
+    }
+    if (rows.positional) {
+      EXPECT_TRUE(rows.spans.empty()) << where;
+    } else {
+      EXPECT_TRUE(rows.positions.empty()) << where;
+      if (covers) {
+        ASSERT_EQ(rows.spans.size(), 1u) << where;
+        EXPECT_EQ(rows.spans[0], (PositionRange{0, values.size()})) << where;
+      }
+      for (size_t i = 0; i < rows.spans.size(); ++i) {
+        EXPECT_LT(rows.spans[i].begin, rows.spans[i].end) << where;
+        if (i > 0) {
+          EXPECT_LT(rows.spans[i - 1].end, rows.spans[i].begin) << where;
+        }
+      }
+    }
+
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      for (const FoldOp op : {FoldOp::kSum, FoldOp::kMin, FoldOp::kMax}) {
+        for (const bool start_valid : {false, true}) {
+          Value want_acc = start_valid ? -7 : 123;
+          bool want_valid = start_valid;
+          Value got = want_acc;
+          bool got_valid = start_valid;
+          if (aggs[a].kind == CodecKind::kRaw) {
+            if (!want.empty()) {
+              kernels::FoldGather(op, aggs[a].values.data(), want.data(),
+                                  want.size(), &want_acc, &want_valid);
+            }
+            FoldSelection(aggs[a].values, rows, op, &got, &got_valid);
+          } else {
+            EncodedGatherFold(agg_enc[a], want, op, &want_acc, &want_valid);
+            FoldSelection(agg_enc[a], rows, op, &got, &got_valid);
+          }
+          EXPECT_EQ(got_valid, want_valid) << where << " agg=" << aggs[a].what;
+          EXPECT_EQ(got, want_acc)
+              << where << " agg=" << aggs[a].what
+              << " op=" << static_cast<int>(op)
+              << " start_valid=" << start_valid;
+        }
+      }
+    }
+  }
+}
+
+TEST(CodecSpanTest, AscendingForWithDuplicatesSelectsOneSpan) {
+  std::vector<Value> v(1000);
+  for (size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<Value>(i / 3) * 5 - 100;  // each value three times
+  }
+  EncodedColumn enc;
+  ASSERT_TRUE(EncodeColumn(v, CodecKind::kFor, &enc));
+  EXPECT_TRUE(enc.sorted);
+  CheckSpanPaths(v, CodecKind::kFor, Form::kSpans, "for ascending");
+  // A sub-frame range is exactly one span.
+  RowSelection rows;
+  EncodedSelect(enc, RangePredicate::Closed(0, 50), &rows);
+  ASSERT_FALSE(rows.positional);
+  ASSERT_EQ(rows.spans.size(), 1u);
+  EXPECT_EQ(rows.spans[0], (PositionRange{60, 93}));
+}
+
+TEST(CodecSpanTest, UnsortedForFallsBackToPositions) {
+  Rng rng(43);
+  const std::vector<Value> v = Uniform(&rng, 1000, -500, 500);
+  EncodedColumn enc;
+  ASSERT_TRUE(EncodeColumn(v, CodecKind::kFor, &enc));
+  EXPECT_FALSE(enc.sorted);
+  CheckSpanPaths(v, CodecKind::kFor, Form::kPositions, "for unsorted");
+  // A single out-of-order pair is enough to clear `sorted`.
+  std::vector<Value> almost(64);
+  for (size_t i = 0; i < almost.size(); ++i) almost[i] = static_cast<Value>(i);
+  std::swap(almost[40], almost[41]);
+  ASSERT_TRUE(EncodeColumn(almost, CodecKind::kFor, &enc));
+  EXPECT_FALSE(enc.sorted);
+  CheckSpanPaths(almost, CodecKind::kFor, Form::kPositions, "for one swap");
+  // A predicate inside a gap of the frame scans the codes and finds
+  // nothing: an empty positions selection that folds nothing.
+  const std::vector<Value> gappy = {0, 10, 5, 10, 0, 5};
+  ASSERT_TRUE(EncodeColumn(gappy, CodecKind::kFor, &enc));
+  RowSelection rows;
+  EncodedSelect(enc, RangePredicate::Closed(6, 9), &rows);
+  EXPECT_TRUE(rows.positional);
+  EXPECT_EQ(rows.size(), 0u);
+  Value acc = 123;
+  bool valid = false;
+  FoldSelection(enc, rows, FoldOp::kSum, &acc, &valid);
+  FoldSelection(gappy, rows, FoldOp::kSum, &acc, &valid);
+  EXPECT_FALSE(valid);
+  EXPECT_EQ(acc, 123);
+}
+
+TEST(CodecSpanTest, ZeroBitColumnsAlwaysCoverOrMiss) {
+  // One distinct value: any predicate either covers the frame or misses.
+  const std::vector<Value> equal(300, 9);
+  for (const CodecKind kind : {CodecKind::kFor, CodecKind::kDict}) {
+    EncodedColumn enc;
+    ASSERT_TRUE(EncodeColumn(equal, kind, &enc));
+    EXPECT_EQ(enc.bits, 0u);
+    CheckSpanPaths(equal, kind, Form::kPositions,
+                   std::string(CodecName(kind)) + " bits=0");
+  }
+}
+
+TEST(CodecSpanTest, FramesAtTheValueExtremes) {
+  const size_t n = 500;
+  std::vector<Value> low(n), high(n);
+  for (size_t i = 0; i < n; ++i) {
+    low[i] = kMinValue + static_cast<Value>(i / 2);
+    high[i] = kMaxValue - static_cast<Value>((n - 1 - i) / 2);
+  }
+  CheckSpanPaths(low, CodecKind::kFor, Form::kSpans, "for at kMinValue");
+  CheckSpanPaths(high, CodecKind::kFor, Form::kSpans, "for at kMaxValue");
+  CheckSpanPaths(low, CodecKind::kDict, Form::kPositions, "dict at kMinValue");
+  CheckSpanPaths(high, CodecKind::kRle, Form::kSpans, "rle at kMaxValue");
+}
+
+TEST(CodecSpanTest, DictionariesWithAndWithoutHistogram) {
+  Rng rng(47);
+  const std::vector<Value> with_hist = LowCardinality(&rng, 4096, 16);
+  const std::vector<Value> without_hist = LowCardinality(&rng, 512, 200);
+  EncodedColumn enc;
+  ASSERT_TRUE(EncodeColumn(with_hist, CodecKind::kDict, &enc));
+  EXPECT_FALSE(enc.code_hist.empty());
+  ASSERT_TRUE(EncodeColumn(without_hist, CodecKind::kDict, &enc));
+  EXPECT_TRUE(enc.code_hist.empty());
+  CheckSpanPaths(with_hist, CodecKind::kDict, Form::kPositions, "dict+hist");
+  CheckSpanPaths(without_hist, CodecKind::kDict, Form::kPositions, "dict");
+}
+
+TEST(CodecSpanTest, RleSelectsRunsAndCoalescesAdjacentOnes) {
+  Rng rng(53);
+  CheckSpanPaths(Runs(&rng, 1000, 16, 500), CodecKind::kRle, Form::kSpans,
+                 "rle");
+  // Runs 5,6,7 are adjacent and all match [5, 7]: one span. The run of
+  // 100 breaks it, and the last run of 5 opens a second span.
+  std::vector<Value> v;
+  for (const Value run : {5, 6, 7, 100, 5}) v.insert(v.end(), 4, run);
+  EncodedColumn enc;
+  ASSERT_TRUE(EncodeColumn(v, CodecKind::kRle, &enc));
+  RowSelection rows;
+  EncodedSelect(enc, RangePredicate::Closed(5, 7), &rows);
+  ASSERT_FALSE(rows.positional);
+  EXPECT_EQ(rows.spans,
+            (std::vector<PositionRange>{{0, 12}, {16, 20}}));
+  CheckSpanPaths(v, CodecKind::kRle, Form::kSpans, "rle coalesce");
+}
+
+TEST(CodecSpanTest, SelectionReusesTheObjectAcrossForms) {
+  // One RowSelection serves a positional then a span selection: the stale
+  // form must not leak into the next answer.
+  Rng rng(59);
+  const std::vector<Value> unsorted = Uniform(&rng, 200, 0, 99);
+  std::vector<Value> sorted = unsorted;
+  std::sort(sorted.begin(), sorted.end());
+  EncodedColumn a, b;
+  ASSERT_TRUE(EncodeColumn(unsorted, CodecKind::kFor, &a));
+  ASSERT_TRUE(EncodeColumn(sorted, CodecKind::kFor, &b));
+  RowSelection rows;
+  EncodedSelect(a, RangePredicate::Closed(10, 20), &rows);
+  ASSERT_TRUE(rows.positional);
+  EncodedSelect(b, RangePredicate::Closed(10, 20), &rows);
+  ASSERT_FALSE(rows.positional);
+  EXPECT_TRUE(rows.positions.empty());
+  size_t count = 0;
+  EXPECT_EQ(rows.ToPositions(),
+            PositionSelect(b, RangePredicate::Closed(10, 20), &count));
 }
 
 }  // namespace

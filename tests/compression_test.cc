@@ -37,6 +37,27 @@ class CompressionTest : public ::testing::Test {
     Rng rng(997);
     source_ =
         &bench::CreateUniformRelation(&catalog_, "R", 3, kRows, kDomain, &rng);
+    // T: t_key ascends with load order (a timestamp: FOR with `sorted`),
+    // t_cat draws from 16 widely spaced values (dictionary), t_run repeats
+    // a value over runs of 8..24 rows (RLE). Range sharding on t_key keeps
+    // load order within each partition.
+    ascending_ = &catalog_.CreateRelation("T");
+    for (const char* name : {"t_key", "t_cat", "t_run"}) {
+      ascending_->AddColumn(name);
+    }
+    Value run_value = 0;
+    size_t run_left = 0;
+    for (size_t i = 0; i < kRows; ++i) {
+      if (run_left == 0) {
+        run_value = rng.Uniform(0, 1'000'000);
+        run_left = static_cast<size_t>(rng.Uniform(8, 24));
+      }
+      --run_left;
+      const Value row[3] = {4 * static_cast<Value>(i) + rng.Uniform(0, 3),
+                            rng.Uniform(0, 15) * (Value{1} << 34),
+                            run_value};
+      ascending_->BulkLoadRow(row);
+    }
   }
 
   PartitionSpec RangeSpec() const {
@@ -68,8 +89,32 @@ class CompressionTest : public ::testing::Test {
     return db;
   }
 
+  /// T registered under `kind`, range-sharded on t_key. `compress` turns
+  /// on compress-on-load with a dictionary bound below t_key's cardinality,
+  /// so t_key is FOR-coded (and sorted), t_cat dictionary, t_run RLE.
+  std::unique_ptr<Database> MakeAscendingDb(const std::string& kind,
+                                            bool compress) {
+    PartitionSpec spec;
+    spec.kind = PartitionSpec::Kind::kRange;
+    spec.num_partitions = kPartitions;
+    spec.column = "t_key";
+    spec.domain_lo = 0;
+    spec.domain_hi = 4 * static_cast<Value>(kRows);
+    AdaptiveConfig adaptive;
+    if (compress) {
+      adaptive = CompressOnLoad();
+      adaptive.compression.max_dict_card = 64;
+    }
+    DatabaseOptions options;
+    options.pool_threads = 2;
+    auto db = std::make_unique<Database>(options);
+    db->RegisterSharded("T", *ascending_, spec, kind, adaptive);
+    return db;
+  }
+
   Catalog catalog_;
   Relation* source_ = nullptr;
+  Relation* ascending_ = nullptr;
 };
 
 /// Flattened answers of the oracle query matrix: encoded-servable shapes
@@ -125,6 +170,49 @@ void RunMatrix(Database* db, Answers* a) {
   }
 }
 
+/// Encoded-servable queries on T, chosen to reach every span path:
+/// covering ranges ([0, n) spans: frame metadata, code_hist, all runs),
+/// sub-frame t_key ranges (one binary-searched span folded over RLE runs,
+/// a dictionary histogram and FOR codes), t_run ranges (coalesced RLE run
+/// spans), t_cat ranges (dictionary positions gathered), and empty ones.
+void RunAscendingMatrix(Database* db, Answers* a) {
+  const Value cat = Value{1} << 34;
+  const struct {
+    const char* attr;
+    Value lo;
+    Value hi;
+  } selections[] = {
+      {"t_key", kMinValue, kMaxValue},   // covers every frame
+      {"t_key", 0, 24'000},              // covers each partition's frame
+      {"t_key", 100, 9'000},             // sub-frame spans in two partitions
+      {"t_key", 5'000, 5'003},           // a span of about one row
+      {"t_key", 4'001, 4'001},           // a point that may miss
+      {"t_key", -50, -1},                // empty
+      {"t_run", 0, 1'000'000},           // covers: one span per partition
+      {"t_run", 200'000, 450'000},       // run spans, some adjacent
+      {"t_run", 1'000'001, kMaxValue},   // empty
+      {"t_cat", 0, 15 * cat},            // covers the dictionary
+      {"t_cat", 3 * cat, 9 * cat},       // dictionary positions
+  };
+  for (const auto& sel : selections) {
+    auto count =
+        db->From("T").Where(sel.attr, sel.lo, sel.hi).Count().Execute();
+    ASSERT_TRUE(count.ok()) << count.error();
+    a->counts.push_back(count->count);
+    for (const char* agg : {"t_key", "t_cat", "t_run"}) {
+      for (AggregateOp op :
+           {AggregateOp::kSum, AggregateOp::kMin, AggregateOp::kMax}) {
+        auto r = db->From("T")
+                     .Where(sel.attr, sel.lo, sel.hi)
+                     .Aggregate(op, agg)
+                     .Execute();
+        ASSERT_TRUE(r.ok()) << r.error();
+        a->aggregates.push_back(r->aggregate_valid ? r->aggregate : -1);
+      }
+    }
+  }
+}
+
 TEST_F(CompressionTest, CompressedEqualsRawAcrossAllEngineKinds) {
   for (const EngineKindEntry& entry : kEngineKinds) {
     auto raw = MakeDb(entry.name, RangeSpec(), {});
@@ -149,6 +237,25 @@ TEST_F(CompressionTest, CompressedEqualsRawAcrossAllEngineKinds) {
     // The materializations cracked-on-touch every partition open.
     EXPECT_GT(after.decompressions, 0u) << entry.name;
     EXPECT_EQ(after.compressed_partitions, 0u) << entry.name;
+
+    // The ascending-key table: every answer off the span paths equals the
+    // raw twin's, and all of them stay in the encoded domain.
+    auto raw_t = MakeAscendingDb(entry.name, false);
+    auto compressed_t = MakeAscendingDb(entry.name, true);
+    for (const PartitionStats& ps : compressed_t->Stats("T").per_partition) {
+      EXPECT_EQ(ps.codec, "for+dict+rle") << entry.name;
+    }
+    Answers want_t, got_t;
+    ASSERT_NO_FATAL_FAILURE(RunAscendingMatrix(raw_t.get(), &want_t))
+        << entry.name;
+    ASSERT_NO_FATAL_FAILURE(RunAscendingMatrix(compressed_t.get(), &got_t))
+        << entry.name;
+    EXPECT_EQ(got_t.counts, want_t.counts) << entry.name;
+    EXPECT_EQ(got_t.aggregates, want_t.aggregates) << entry.name;
+    const TableStats t_stats = compressed_t->Stats("T");
+    EXPECT_EQ(t_stats.compressed_partitions, kPartitions) << entry.name;
+    EXPECT_EQ(t_stats.decompressions, 0u) << entry.name;
+    EXPECT_GT(t_stats.encoded_queries, 0u) << entry.name;
   }
 }
 
