@@ -11,13 +11,18 @@
 // data; the adaptive arm additionally ticks Database::MaybeRepartition
 // every --tick queries, letting the workload histogram hot-split the
 // partitions under the window and cold-merge the ones it left behind.
-// Reported: steady-state queries/sec per arm (first --warmup-pct% of
-// queries excluded, so the static arm's crackers are converged too), the
-// speedup, and the executed split/merge counts. Before any timing, a
-// verification pass compares adaptive answers — across live splits and
-// merges — against a plain full scan.
+// Each arm pass builds a fresh database and serves the whole sequence;
+// the passes run in rotated rounds (RunInterleaved), so a slow host phase
+// lands on both arms alike. Reported per engine and workload: each arm's
+// median steady-state queries/sec (first --warmup-pct% of queries
+// excluded, so the static arm's crackers are converged too), the median
+// of the per-round paired speedups, and the executed split/merge counts.
+// Before any timing, a verification pass compares adaptive answers —
+// across live splits and merges — against a plain full scan. Nothing is
+// gated on the speedup.
 //
-//   ./bench_adaptive_repartition                    # drift + zoom, plain
+//   ./bench_adaptive_repartition                    # drift + zoom,
+//                                                   # plain + partial
 //   ./bench_adaptive_repartition --workload=drift --engine=sideways
 //   ./bench_adaptive_repartition --smoke            # CI fast path
 //
@@ -45,9 +50,14 @@ namespace {
 
 constexpr Value kDomain = 10'000'000;
 
+/// Timed rounds per engine and workload (each round runs both arms once).
+constexpr size_t kRounds = 7;
+constexpr size_t kSmokeRounds = 2;
+
 struct AdaptiveBenchOptions {
   std::vector<std::string> workloads;  // empty = drift + zoom
-  std::string engine = "plain";
+  /// Empty = plain (the scan baseline) and partial (serve-rw's engine).
+  std::vector<std::string> engines;
   size_t partitions = 8;
   size_t pool = 0;
   size_t tick = 256;        // queries between MaybeRepartition ticks
@@ -76,9 +86,7 @@ AdaptiveConfig MakeAdaptiveConfig(size_t rows, bool smoke) {
   cfg.cold_share = 0.04;
   cfg.min_partition_rows = std::max<size_t>(smoke ? 64 : 512, rows / 128);
   cfg.max_partitions = 32;
-  cfg.min_partitions = 2;
   cfg.cooldown_ticks = 1;
-  cfg.decay = 0.5;
   return cfg;
 }
 
@@ -124,12 +132,13 @@ struct ArmResult {
 };
 
 ArmResult RunArm(const Relation& source, const AdaptiveBenchOptions& opt,
-                 const BenchArgs& args, const std::string& workload,
-                 size_t total_queries, bool adaptive) {
+                 const BenchArgs& args, const std::string& engine,
+                 const std::string& workload, size_t total_queries,
+                 bool adaptive) {
   DatabaseOptions db_opt;
   db_opt.pool_threads = opt.pool;
   Database db(db_opt);
-  db.RegisterSharded("R", source, MakeSpec(opt), opt.engine,
+  db.RegisterSharded("R", source, MakeSpec(opt), engine,
                      adaptive ? MakeAdaptiveConfig(source.num_rows(),
                                                    args.smoke)
                               : AdaptiveConfig{});
@@ -164,14 +173,15 @@ ArmResult RunArm(const Relation& source, const AdaptiveBenchOptions& opt,
 /// execute; run with an aggressive tick so the map reorganizes mid-pass.
 bool VerifyAcrossRepartitions(const Relation& source,
                               const AdaptiveBenchOptions& opt,
-                              const BenchArgs& args) {
+                              const BenchArgs& args,
+                              const std::string& engine) {
   DatabaseOptions db_opt;
   db_opt.pool_threads = 2;  // exercise the pooled fan-out path too
   Database db(db_opt);
   AdaptiveConfig cfg = MakeAdaptiveConfig(source.num_rows(), args.smoke);
   cfg.min_accesses = 8;
   cfg.cooldown_ticks = 0;
-  db.RegisterSharded("R", source, MakeSpec(opt), opt.engine, cfg);
+  db.RegisterSharded("R", source, MakeSpec(opt), engine, cfg);
   PlainEngine plain(source);
 
   WorkloadGen gen("drift", 200);
@@ -187,9 +197,9 @@ bool VerifyAcrossRepartitions(const Relation& source,
   }
   const TableStats stats = db.Stats("R");
   std::printf(
-      "# verification vs plain scan: ok (%zu queries, %zu repartitions "
-      "mid-stream, %zu partitions now)\n",
-      checks, actions, stats.partitions);
+      "# verification vs plain scan (%s): ok (%zu queries, %zu "
+      "repartitions mid-stream, %zu partitions now)\n",
+      engine.c_str(), checks, actions, stats.partitions);
   return true;
 }
 
@@ -225,9 +235,12 @@ void Run(const BenchArgs& args, const AdaptiveBenchOptions& opt) {
     effective.partitions = std::min<size_t>(effective.partitions, 4);
     effective.tick = std::min<size_t>(effective.tick, 20);
   }
-  if (!MakeEngineFactory(effective.engine)) {
+  std::vector<std::string> engines = effective.engines;
+  if (engines.empty()) engines = {"plain", "partial"};
+  for (const std::string& engine : engines) {
+    if (MakeEngineFactory(engine)) continue;
     std::fprintf(stderr, "unknown engine kind '%s'; valid kinds:",
-                 effective.engine.c_str());
+                 engine.c_str());
     for (const EngineKindEntry& entry : kEngineKinds) {
       std::fprintf(stderr, " %s", entry.name);
     }
@@ -236,61 +249,87 @@ void Run(const BenchArgs& args, const AdaptiveBenchOptions& opt) {
   }
   std::vector<std::string> workloads = effective.workloads;
   if (workloads.empty()) workloads = {"drift", "zoom"};
+  const size_t rounds = args.smoke ? kSmokeRounds : kRounds;
 
   Catalog catalog;
   Rng data_rng(args.seed);
   Relation& source =
       CreateUniformRelation(&catalog, "R", 7, rows, kDomain, &data_rng);
   std::printf(
-      "# adaptive repartition: engine=%s rows=%zu queries/workload=%zu "
-      "partitions=%zu tick=%zu pool=%zu\n",
-      effective.engine.c_str(), rows, total_queries, effective.partitions,
-      effective.tick, effective.pool);
+      "# adaptive repartition: rows=%zu queries/workload=%zu "
+      "partitions=%zu tick=%zu pool=%zu rounds=%zu\n",
+      rows, total_queries, effective.partitions, effective.tick,
+      effective.pool, rounds);
 
-  if (!VerifyAcrossRepartitions(source, effective, args)) {
-    std::fprintf(stderr,
-                 "FAILED: adaptive answers diverge from plain scan\n");
-    std::exit(1);
+  for (const std::string& engine : engines) {
+    if (!VerifyAcrossRepartitions(source, effective, args, engine)) {
+      std::fprintf(stderr,
+                   "FAILED: adaptive answers diverge from plain scan (%s)\n",
+                   engine.c_str());
+      std::exit(1);
+    }
   }
 
   FigureHeader("adaptive", "steady-state queries/sec, static vs adaptive",
                "workload", "queries_per_sec");
-  TablePrinter table({"workload", "arm", "steady_qps", "speedup", "splits",
-                      "merges", "partitions"});
-  for (const std::string& workload : workloads) {
-    const ArmResult is_static = RunArm(source, effective, args, workload,
-                                       total_queries, /*adaptive=*/false);
-    const ArmResult adaptive = RunArm(source, effective, args, workload,
-                                      total_queries, /*adaptive=*/true);
-    if (is_static.checksum != adaptive.checksum) {
-      std::fprintf(stderr,
-                   "FAILED: %s checksum diverged between arms "
-                   "(static=%llu adaptive=%llu)\n",
-                   workload.c_str(),
-                   static_cast<unsigned long long>(is_static.checksum),
-                   static_cast<unsigned long long>(adaptive.checksum));
-      std::exit(1);
+  TablePrinter table({"engine", "workload", "arm", "steady_qps", "speedup",
+                      "splits", "merges", "partitions"});
+  for (const std::string& engine : engines) {
+    for (const std::string& workload : workloads) {
+      // Arm 0 is the static map, arm 1 the adaptive one. Every pass must
+      // answer the same sequence identically. Ticks fall on query counts
+      // and the policy reads access counts only, so every adaptive pass
+      // executes the same actions; the last one's counts are reported.
+      ArmResult last[2];
+      uint64_t checksum = 0;
+      bool first_pass = true;
+      const std::vector<std::vector<double>> qps =
+          RunInterleaved(2, 0, rounds, [&](size_t arm) {
+            last[arm] = RunArm(source, effective, args, engine, workload,
+                               total_queries, /*adaptive=*/arm == 1);
+            if (first_pass) checksum = last[arm].checksum;
+            first_pass = false;
+            if (last[arm].checksum != checksum) {
+              std::fprintf(stderr,
+                           "FAILED: %s/%s checksum diverged between passes "
+                           "(%llu vs %llu)\n",
+                           engine.c_str(), workload.c_str(),
+                           static_cast<unsigned long long>(checksum),
+                           static_cast<unsigned long long>(
+                               last[arm].checksum));
+              std::exit(1);
+            }
+            return last[arm].steady_qps;
+          });
+      std::vector<double> arm_qps[2];
+      for (const std::vector<double>& round : qps) {
+        for (size_t a = 0; a < 2; ++a) arm_qps[a].push_back(round[a]);
+      }
+      const double static_qps = Median(arm_qps[0]);
+      const double adaptive_qps = Median(arm_qps[1]);
+      const double speedup = MedianRatio(qps, 1, 0);
+      const ArmResult& adaptive = last[1];
+      SeriesHeader(engine + "/" + workload);
+      Point(0, static_qps);
+      Point(1, adaptive_qps);
+      table.AddRow({engine, workload, "static", Fmt(static_qps, 0), "1.00",
+                    "0", "0", std::to_string(last[0].partitions_final)});
+      table.AddRow({engine, workload, "adaptive", Fmt(adaptive_qps, 0),
+                    Fmt(speedup, 2), std::to_string(adaptive.splits),
+                    std::to_string(adaptive.merges),
+                    std::to_string(adaptive.partitions_final)});
+      std::printf(
+          "BENCH_adaptive {\"workload\":\"%s\",\"engine\":\"%s\","
+          "\"rows\":%zu,\"queries\":%zu,\"rounds\":%zu,"
+          "\"static_qps\":%.1f,\"adaptive_qps\":%.1f,\"speedup\":%.3f,"
+          "\"splits\":%llu,\"merges\":%llu,\"partitions_final\":%zu,"
+          "\"verified\":true}\n",
+          workload.c_str(), engine.c_str(), rows, total_queries, rounds,
+          static_qps, adaptive_qps, speedup,
+          static_cast<unsigned long long>(adaptive.splits),
+          static_cast<unsigned long long>(adaptive.merges),
+          adaptive.partitions_final);
     }
-    const double speedup = adaptive.steady_qps / is_static.steady_qps;
-    SeriesHeader(workload);
-    Point(0, is_static.steady_qps);
-    Point(1, adaptive.steady_qps);
-    table.AddRow({workload, "static", Fmt(is_static.steady_qps, 0), "1.00",
-                  "0", "0", std::to_string(is_static.partitions_final)});
-    table.AddRow({workload, "adaptive", Fmt(adaptive.steady_qps, 0),
-                  Fmt(speedup, 2), std::to_string(adaptive.splits),
-                  std::to_string(adaptive.merges),
-                  std::to_string(adaptive.partitions_final)});
-    std::printf(
-        "BENCH_adaptive {\"workload\":\"%s\",\"engine\":\"%s\",\"rows\":%zu,"
-        "\"queries\":%zu,\"static_qps\":%.1f,\"adaptive_qps\":%.1f,"
-        "\"speedup\":%.3f,\"splits\":%llu,\"merges\":%llu,"
-        "\"partitions_final\":%zu,\"verified\":true}\n",
-        workload.c_str(), effective.engine.c_str(), rows, total_queries,
-        is_static.steady_qps, adaptive.steady_qps, speedup,
-        static_cast<unsigned long long>(adaptive.splits),
-        static_cast<unsigned long long>(adaptive.merges),
-        adaptive.partitions_final);
   }
   table.Print();
 
@@ -300,7 +339,7 @@ void Run(const BenchArgs& args, const AdaptiveBenchOptions& opt) {
     DatabaseOptions db_opt;
     db_opt.pool_threads = effective.pool;
     Database db(db_opt);
-    db.RegisterSharded("R", source, MakeSpec(effective), effective.engine,
+    db.RegisterSharded("R", source, MakeSpec(effective), engines.front(),
                        MakeAdaptiveConfig(rows, args.smoke));
     WorkloadGen gen(workloads.front(), total_queries / 4);
     Rng rng(args.seed + 77);
@@ -313,8 +352,9 @@ void Run(const BenchArgs& args, const AdaptiveBenchOptions& opt) {
     for (size_t q = 0; q < 64; ++q) {
       (void)db.Execute({"R", MakeQuery(gen.Next(&rng))});
     }
-    std::printf("# per-partition skew after %zu %s queries:\n",
-                total_queries / 4 + 64, workloads.front().c_str());
+    std::printf("# per-partition skew after %zu %s queries (%s):\n",
+                total_queries / 4 + 64, workloads.front().c_str(),
+                engines.front().c_str());
     PrintSkewTable(&db);
   }
 }
@@ -342,10 +382,11 @@ int main(int argc, char** argv) {
          }
          return true;
        }},
-      {"--engine=KIND", "per-partition engine kind (default plain)",
+      {"--engine=KIND",
+       "per-partition engine kind (default: plain, then partial)",
        [&opt](const char* a) {
          if (std::strncmp(a, "--engine=", 9) != 0) return false;
-         opt.engine = a + 9;
+         opt.engines = {a + 9};
          return true;
        }},
       {"--partitions=N", "initial partition count (default 8)",

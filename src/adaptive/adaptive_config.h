@@ -7,13 +7,13 @@
 
 namespace crackdb {
 
-/// Knobs of the adaptive-repartitioning subsystem (src/adaptive): when the
-/// workload histogram is consulted, what counts as a hot or cold
-/// partition, and the hysteresis that keeps the partition map from
-/// thrashing. Off by default; enable per table in
+/// Knobs of the adaptive-repartitioning subsystem (src/adaptive): what
+/// counts as a hot or cold partition, and the hysteresis that keeps the
+/// partition map from thrashing. Off by default; enable per table in
 /// Database::RegisterSharded. Only range-partitioned tables adapt — hash
 /// sharding is balanced by construction, so ticks on hash tables are
-/// no-ops.
+/// no-ops. Ticks happen only when a caller runs Database::MaybeRepartition;
+/// there is no background trigger.
 ///
 /// The no-thrash invariant the defaults encode: `hot_share` must be well
 /// above `cold_share`, so the two halves of a fresh split (each carrying
@@ -22,15 +22,16 @@ namespace crackdb {
 /// every executed action add time-based hysteresis on top; see
 /// RepartitionPolicy.
 struct AdaptiveConfig {
+  /// Histogram decay applied after every tick, so the counters track the
+  /// recent workload instead of its full history.
+  static constexpr double kDecay = 0.5;
+  /// The policy never merges below this many partitions.
+  static constexpr size_t kMinPartitions = 2;
+
   /// Master switch. When false the table keeps its load-time partition map
   /// and MaybeRepartition is a no-op (the control arm of
   /// bench_adaptive_repartition).
   bool enabled = false;
-
-  /// Ops (queries + writes) between automatic background ticks. 0 = no
-  /// background trigger; repartitioning then happens only on manual
-  /// Database::MaybeRepartition calls.
-  size_t trigger_interval = 0;
 
   /// Minimum observed accesses (histogram total) before any decision.
   size_t min_accesses = 64;
@@ -46,31 +47,16 @@ struct AdaptiveConfig {
   /// Never split a partition holding fewer live rows than this.
   size_t min_partition_rows = 2048;
 
-  /// Bounds on the partition count the policy may reach.
+  /// Upper bound on the partition count the policy may reach.
   size_t max_partitions = 64;
-  size_t min_partitions = 2;
 
   /// Ticks to sit out after an executed split/merge (hysteresis).
   size_t cooldown_ticks = 2;
 
-  /// Per-tick decay factor applied to the access counters, so the
-  /// histogram tracks the recent workload instead of its full history.
-  double decay = 0.5;
-
-  /// Bounded per-partition sample of predicate boundaries (split-point
-  /// candidates) kept by the workload histogram.
-  size_t sketch_capacity = 64;
-
-  /// Hot/cold layout adaptation (storage/codec.h): when
-  /// `compression.enabled`, ticks may also compress a cold partition's
-  /// columns (share of observed accesses at or below
-  /// `compression.cold_compress_share`) or decompress a compressed
-  /// partition that turned hot (share at or above
-  /// `compression.hot_decompress_share`). Rides the same histogram,
-  /// cooldown, and min_accesses hysteresis as split/merge — and therefore
-  /// the same range-sharding requirement for *adaptive* layout changes;
-  /// hash-sharded tables still get `compress_on_load` and the query-driven
-  /// crack-on-touch decompression.
+  /// Load-time layout (storage/codec.h). The layout is chosen at
+  /// registration (`compress_on_load`) and changes afterwards only through
+  /// queries (crack-on-touch) and writes, never through ticks; it applies
+  /// to hash-sharded tables as well.
   CompressionConfig compression;
 };
 

@@ -71,7 +71,7 @@ RepartitionDecision RepartitionPolicy::Tick(
 
   // Cold merge: the coldest adjacent pair, if its combined share is below
   // the threshold.
-  if (n > config_.min_partitions) {
+  if (n > AdaptiveConfig::kMinPartitions) {
     size_t best = n;
     uint64_t best_accesses = 0;
     for (size_t i = 0; i + 1 < n; ++i) {
@@ -91,49 +91,6 @@ RepartitionDecision RepartitionPolicy::Tick(
     }
   }
 
-  // Layout actions, only with compression enabled. Decompress-hot first:
-  // a compressed partition drawing real traffic pays an encoded linear
-  // scan (or a crack-on-touch decompression) per query, while raw
-  // partitions converge to cracked-index lookups — recovering that
-  // partition's query performance outranks saving bytes elsewhere. Then
-  // compress-cold: the coldest compressible partition at or below the
-  // share threshold.
-  if (config_.compression.enabled) {
-    size_t hottest = n;
-    uint64_t hottest_accesses = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const PartitionInput& p = partitions[i];
-      if (!p.compressed) continue;
-      if (hottest != n && p.accesses <= hottest_accesses) continue;
-      hottest = i;
-      hottest_accesses = p.accesses;
-    }
-    if (hottest < n && static_cast<double>(hottest_accesses) / total_d >=
-                           config_.compression.hot_decompress_share) {
-      RepartitionDecision d;
-      d.kind = RepartitionDecision::Kind::kDecompress;
-      d.partition = hottest;
-      return d;
-    }
-
-    size_t coldest = n;
-    uint64_t coldest_accesses = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const PartitionInput& p = partitions[i];
-      if (!p.compressible) continue;
-      if (p.live_rows < config_.compression.min_rows) continue;
-      if (coldest != n && p.accesses >= coldest_accesses) continue;
-      coldest = i;
-      coldest_accesses = p.accesses;
-    }
-    if (coldest < n && static_cast<double>(coldest_accesses) / total_d <=
-                           config_.compression.cold_compress_share) {
-      RepartitionDecision d;
-      d.kind = RepartitionDecision::Kind::kCompress;
-      d.partition = coldest;
-      return d;
-    }
-  }
   return none;
 }
 

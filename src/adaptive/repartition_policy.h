@@ -13,11 +13,9 @@ namespace crackdb {
 /// One action the policy asks the Repartitioner to execute. kSplit cuts
 /// partition `partition` in two: the left half keeps the old slice start,
 /// the right half starts at `split_value`. kMerge fuses adjacent
-/// partitions `partition` and `partition + 1` into one slice. kCompress
-/// and kDecompress change partition `partition`'s physical layout in
-/// place (storage/codec.h) — no rows move and the map is unchanged.
+/// partitions `partition` and `partition + 1` into one slice.
 struct RepartitionDecision {
-  enum class Kind { kNone, kSplit, kMerge, kCompress, kDecompress };
+  enum class Kind { kNone, kSplit, kMerge };
 
   Kind kind = Kind::kNone;
   size_t partition = 0;
@@ -27,8 +25,7 @@ struct RepartitionDecision {
 /// Pure decision logic of the adaptive subsystem — no locks, no storage
 /// references, unit-testable in isolation. Each Tick inspects a
 /// per-partition view of the workload histogram and proposes at most one
-/// action: a hot-split, a cold-merge, or (with compression enabled) a
-/// hot-decompress or cold-compress.
+/// action: a hot-split or a cold-merge.
 ///
 /// Hysteresis, so the map never thrashes:
 ///  - nothing fires below `min_accesses` observed accesses;
@@ -54,11 +51,6 @@ class RepartitionPolicy {
     Value cover_lo = 0;
     Value cover_hi = 0;
     std::vector<Value> split_candidates;
-    /// Layout inputs for the compression decisions: whether the partition
-    /// is currently compressed, and whether it could be (raw, no
-    /// tombstones). Both false when compression is disabled.
-    bool compressed = false;
-    bool compressible = false;
   };
 
   /// Evaluates one tick. Never mutates hysteresis state except for the

@@ -31,45 +31,10 @@ bool Repartitioner::Execute(const RepartitionDecision& decision) {
       return ExecuteSplit(decision.partition, decision.split_value);
     case RepartitionDecision::Kind::kMerge:
       return ExecuteMerge(decision.partition);
-    case RepartitionDecision::Kind::kCompress:
-      return ExecuteCompress(decision.partition);
-    case RepartitionDecision::Kind::kDecompress:
-      return ExecuteDecompress(decision.partition);
     case RepartitionDecision::Kind::kNone:
       return false;
   }
   return false;
-}
-
-bool Repartitioner::ExecuteCompress(size_t partition) {
-  PartitionedRelation& relation = *hooks_.relation;
-  RwGate::SharedGuard map_guard(relation.map_gate());
-  if (partition >= relation.num_partitions()) return false;
-  std::unique_lock<std::shared_mutex> lock(relation.partition_mutex(partition));
-  const Relation& shard = relation.partition(partition);
-  if (shard.compressed() || shard.num_deleted() != 0) return false;
-  // Dry-run the codec choice before touching the engine: resetting it and
-  // then failing to compress would drop cracked state for nothing.
-  bool any = false;
-  for (size_t c = 0; c < shard.num_columns() && !any; ++c) {
-    any = ChooseCodec(shard.column(c).values(), hooks_.compression) !=
-          CodecKind::kRaw;
-  }
-  if (!any) return false;
-  // Fresh engine first, while the relation is still raw (see header).
-  hooks_.engine->ResetPartitionEngine(partition);
-  return relation.partition(partition).Compress(hooks_.compression) > 0;
-}
-
-bool Repartitioner::ExecuteDecompress(size_t partition) {
-  PartitionedRelation& relation = *hooks_.relation;
-  RwGate::SharedGuard map_guard(relation.map_gate());
-  if (partition >= relation.num_partitions()) return false;
-  std::unique_lock<std::shared_mutex> lock(relation.partition_mutex(partition));
-  const Relation& shard = relation.partition(partition);
-  if (!shard.compressed()) return false;
-  shard.Decompress();
-  return true;
 }
 
 Repartitioner::ShardSnapshot Repartitioner::SnapshotShard(size_t partition) {
@@ -80,8 +45,9 @@ Repartitioner::ShardSnapshot Repartitioner::SnapshotShard(size_t partition) {
   snap.old_name = shard.name();
   // A compressed shard decompresses first (under the exclusive lock): the
   // column copy below reads the raw vectors, and split/merge result
-  // shards are always born raw. Rare — the policy targets hot (raw)
-  // partitions for splits and compressed ones are cold by construction.
+  // shards are always born raw. Only a compress-on-load partition that
+  // turned hot or cold while encoded-servable queries kept it compressed
+  // reaches this.
   {
     std::shared_lock<std::shared_mutex> peek(
         relation.partition_mutex(partition));

@@ -61,17 +61,14 @@ class Repartitioner {
     /// Drops a retired shard relation; called after the swap, with no
     /// lock held. May be empty (retired shards then leak until teardown).
     std::function<void(const std::string&)> drop_relation;
-    /// Codec selection knobs for kCompress decisions.
-    CompressionConfig compression;
   };
 
   explicit Repartitioner(Hooks hooks);
 
-  /// Executes one decision — split, merge, compress, or decompress.
-  /// Returns false, leaving the table untouched, when the decision does
-  /// not match the table's state — wrong kind, out-of-range index, split
-  /// value outside the slice cover, compress of an already-compressed (or
-  /// incompressible) partition, decompress of a raw one.
+  /// Executes one decision — a split or a merge. Returns false, leaving
+  /// the table untouched, when the decision does not match the table's
+  /// state — wrong kind, out-of-range index, split value outside the slice
+  /// cover, a merge whose result slice would be unreachable.
   bool Execute(const RepartitionDecision& decision);
 
  private:
@@ -87,16 +84,6 @@ class Repartitioner {
 
   bool ExecuteSplit(size_t partition, Value split_value);
   bool ExecuteMerge(size_t left);
-
-  /// Layout changes, in place under the partition's exclusive lock (map
-  /// gate shared — the map itself is untouched). Compress stamps a fresh
-  /// partition engine *first*, while the relation is still raw: the old
-  /// engine's auxiliary copies of a cold partition are exactly the bytes
-  /// being reclaimed, and eager engine kinds read the base columns at
-  /// construction. Decompress keeps the engine — it was stamped fresh at
-  /// compress time and no write landed since (writes decompress first).
-  bool ExecuteCompress(size_t partition);
-  bool ExecuteDecompress(size_t partition);
 
   ShardSnapshot SnapshotShard(size_t partition);
   Relation& CreateShard(const std::vector<std::string>& column_names);

@@ -4,9 +4,7 @@
 
 namespace crackdb {
 
-WorkloadHistogram::WorkloadHistogram(size_t num_partitions,
-                                     size_t sketch_capacity)
-    : sketch_capacity_(std::max<size_t>(1, sketch_capacity)) {
+WorkloadHistogram::WorkloadHistogram(size_t num_partitions) {
   Reset(num_partitions);
 }
 
@@ -23,12 +21,12 @@ void WorkloadHistogram::RecordBoundary(size_t p, Value boundary) {
   if (p >= cells_.size()) return;
   Cell& cell = *cells_[p];
   std::lock_guard<std::mutex> lock(cell.sketch_mu);
-  if (cell.ring.size() < sketch_capacity_) {
+  if (cell.ring.size() < kSketchCapacity) {
     cell.ring.push_back(boundary);
   } else {
     cell.ring[cell.ring_next] = boundary;
   }
-  cell.ring_next = (cell.ring_next + 1) % sketch_capacity_;
+  cell.ring_next = (cell.ring_next + 1) % kSketchCapacity;
 }
 
 WorkloadHistogram::Snapshot WorkloadHistogram::Snap(
@@ -69,7 +67,7 @@ void WorkloadHistogram::Reset(size_t num_partitions) {
   cells_.reserve(num_partitions);
   for (size_t p = 0; p < num_partitions; ++p) {
     cells_.push_back(std::make_unique<Cell>());
-    cells_.back()->ring.reserve(sketch_capacity_);
+    cells_.back()->ring.reserve(kSketchCapacity);
   }
 }
 

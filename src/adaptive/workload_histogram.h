@@ -23,12 +23,14 @@ namespace crackdb {
 /// threads holding the partition map gate *shared*; Reset (which resizes
 /// the per-partition cells) is called only under the gate held
 /// *exclusively*, i.e. with no recorder in flight. Snapshot and Decay are
-/// called from the single repartition tick thread and tolerate concurrent
-/// recorders (counters are atomics, the sketch ring has its own mutex).
+/// called by the one tick in flight (a MaybeRepartition caller) and
+/// tolerate concurrent recorders (counters are atomics, the sketch ring has its own mutex).
 class WorkloadHistogram {
  public:
-  explicit WorkloadHistogram(size_t num_partitions,
-                             size_t sketch_capacity = 64);
+  /// Predicate boundaries (split-point candidates) kept per partition.
+  static constexpr size_t kSketchCapacity = 64;
+
+  explicit WorkloadHistogram(size_t num_partitions);
 
   size_t num_partitions() const { return cells_.size(); }
 
@@ -38,7 +40,7 @@ class WorkloadHistogram {
 
   /// Records `boundary` (the first value of a would-be right slice) as a
   /// split-point candidate for partition `p`. Bounded: the newest
-  /// `sketch_capacity` samples survive.
+  /// kSketchCapacity samples survive.
   void RecordBoundary(size_t p, Value boundary);
 
   struct PartitionSnapshot {
@@ -74,7 +76,6 @@ class WorkloadHistogram {
     size_t ring_next = 0;
   };
 
-  size_t sketch_capacity_;
   std::vector<std::unique_ptr<Cell>> cells_;
 };
 

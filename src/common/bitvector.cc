@@ -31,11 +31,6 @@ void BitVector::And(const BitVector& other) {
   for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
 }
 
-void BitVector::Or(const BitVector& other) {
-  assert(size_ == other.size_);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-}
-
 void BitVector::AppendSetPositions(std::vector<uint32_t>* out,
                                    uint32_t base) const {
   for (size_t w = 0; w < words_.size(); ++w) {

@@ -30,14 +30,6 @@ class BitVector {
   void Set(size_t i) { words_[i >> 6] |= uint64_t{1} << (i & 63); }
   void Clear(size_t i) { words_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
 
-  void Assign(size_t i, bool v) {
-    if (v) {
-      Set(i);
-    } else {
-      Clear(i);
-    }
-  }
-
   /// Sets all bits to `value`.
   void Fill(bool value);
 
@@ -46,9 +38,6 @@ class BitVector {
 
   /// this &= other. Both vectors must have equal size.
   void And(const BitVector& other);
-
-  /// this |= other. Both vectors must have equal size.
-  void Or(const BitVector& other);
 
   /// Appends positions of set bits (offset by `base`) to `out`.
   void AppendSetPositions(std::vector<uint32_t>* out, uint32_t base = 0) const;

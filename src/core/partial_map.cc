@@ -16,10 +16,6 @@ MapChunk* PartialMap::FindChunk(const AreaStart& start) {
   return it == chunks_.end() ? nullptr : &it->second;
 }
 
-bool PartialMap::HasChunk(const AreaStart& start) const {
-  return chunks_.count(start) != 0;
-}
-
 MapChunk PartialMap::ChunkFromArea(const ChunkMapArea& area) const {
   MapChunk chunk;
   chunk.area_start = area.start;

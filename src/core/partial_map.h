@@ -51,7 +51,6 @@ class PartialMap {
   const std::string& tail_attr() const { return tail_attr_; }
 
   MapChunk* FindChunk(const AreaStart& start);
-  bool HasChunk(const AreaStart& start) const;
 
   /// Materializes the chunk for `area` from the chunk map: the caller must
   /// have called ChunkMap::FetchArea (which aligns the area), so the new

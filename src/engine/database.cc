@@ -42,14 +42,6 @@ struct DbMetrics {
       obs::MetricsRegistry::Global().GetCounter("adaptive_splits_total");
   obs::Counter& merges =
       obs::MetricsRegistry::Global().GetCounter("adaptive_merges_total");
-  obs::Counter& compressions =
-      obs::MetricsRegistry::Global().GetCounter("adaptive_compressions_total");
-  obs::Counter& decompressions = obs::MetricsRegistry::Global().GetCounter(
-      "adaptive_decompressions_total");
-  obs::Gauge& footprint_before = obs::MetricsRegistry::Global().GetGauge(
-      "adaptive_footprint_before_bytes");
-  obs::Gauge& footprint_after = obs::MetricsRegistry::Global().GetGauge(
-      "adaptive_footprint_after_bytes");
 };
 
 DbMetrics& Metrics() {
@@ -121,23 +113,9 @@ Database::Database(DatabaseOptions options) {
 }
 
 Database::~Database() {
-  // In-flight background repartition ticks reference their tables and may
-  // block on the pool (engine builds), so join them first, then the pool
-  // (members destroy in reverse declaration order, which would otherwise
-  // tear the tables down while queued async tasks still reference them).
-  // Collect first, then join with tables_mu_ *released*: a tick thread's
-  // catalog hooks take tables_mu_ exclusively, so joining under the lock
-  // would deadlock. No one registers tables during destruction.
-  std::vector<Table*> tables;
-  {
-    std::shared_lock<std::shared_mutex> lock(tables_mu_);
-    tables.reserve(tables_.size());
-    for (auto& [name, t] : tables_) tables.push_back(t.get());
-  }
-  for (Table* t : tables) {
-    std::lock_guard<std::mutex> tick_lock(t->tick_thread_mu);
-    if (t->tick_thread.joinable()) t->tick_thread.join();
-  }
+  // Join the pool first: members destroy in reverse declaration order,
+  // which would otherwise tear the tables down while queued async tasks
+  // still reference them.
   pool_.reset();
 }
 
@@ -168,8 +146,8 @@ Expected<size_t> Database::RegisterSharded(const std::string& table,
   // Only range-sharded tables adapt: hash sharding is balanced by
   // construction, and slices are the unit the repartitioner reshapes.
   if (adaptive.enabled && spec.kind == PartitionSpec::Kind::kRange) {
-    entry->histogram = std::make_unique<WorkloadHistogram>(
-        entry->relation.num_partitions(), adaptive.sketch_capacity);
+    entry->histogram =
+        std::make_unique<WorkloadHistogram>(entry->relation.num_partitions());
     entry->policy = std::make_unique<RepartitionPolicy>(adaptive);
     entry->engine->SetHistogram(entry->histogram.get());
   }
@@ -518,9 +496,7 @@ Expected<ExecuteResult> Database::Execute(Query query) {
   Expected<Admitted> admitted = Admit(query);
   if (!admitted.ok()) return QueryError{admitted.error()};
   if (admitted->table == nullptr) return ExecuteSystem(query);
-  ExecuteResult result = DispatchOne(*admitted->table, query, admitted->trace);
-  NoteOps(*admitted->table, 1);
-  return result;
+  return DispatchOne(*admitted->table, query, admitted->trace);
 }
 
 std::vector<Expected<ExecuteResult>> Database::ExecuteBatch(
@@ -576,7 +552,6 @@ std::vector<Expected<ExecuteResult>> Database::ExecuteBatch(
     for (size_t j = 0; j < batch.indexes.size(); ++j) {
       out[batch.indexes[j]].emplace(std::move(results[j]));
     }
-    NoteOps(*batch.table, batch.specs.size());
   }
 
   std::vector<Expected<ExecuteResult>> flat;
@@ -617,78 +592,70 @@ std::future<Expected<ExecuteResult>> Database::ExecuteAsync(Query query) {
     // must not block on the pool and executes its partition groups inline.
     pool_->Submit(home, [task] { (*task)(); });
   }
-  // On the client thread: a crossed trigger boundary spawns a tick
-  // thread, which must never be started from a pool worker mid-teardown.
-  NoteOps(t, 1);
   return future;
 }
 
 void Database::ApplyViews(Table& t, std::span<const WriteView> ops,
                           WriteOutcome* outcomes) {
   if (ops.empty()) return;
-  {
-    // The partition map must be stable for the whole commit (routing,
-    // mutexes, and the global-key router all live in it); writers enter
-    // the gate as ordinary (non-urgent) readers — they run on client
-    // threads and may wait out a pending swap.
-    RwGate::SharedGuard map_guard(t.relation.map_gate());
-    // One writer_mu acquisition commits the whole batch. Ops apply
-    // strictly in order (so keys and delete outcomes match the one-op
-    // loop); the partition lock is held across consecutive ops on the
-    // same partition and re-acquired only on a switch, so clustered
-    // batches amortize it.
-    std::unique_lock<std::shared_mutex> writer(t.writer_mu);
-    std::unique_lock<std::shared_mutex> partition;
-    size_t locked = t.relation.num_partitions();  // sentinel: none held
-    uint64_t inserts = 0, deletes = 0;
-    for (size_t i = 0; i < ops.size(); ++i) {
-      const WriteView& op = ops[i];
-      size_t target;
-      if (op.kind == WriteOp::Kind::kInsert) {
-        target =
-            t.relation.PartitionOf(op.values[t.relation.organizing_ordinal()]);
-      } else {
-        const std::optional<PartitionedRelation::Location> loc =
-            t.relation.Locate(op.key);
-        if (!loc.has_value()) continue;  // outcome stays {false, kInvalidKey}
-        target = loc->partition;
-      }
-      if (target != locked) {
-        if (partition.owns_lock()) partition.unlock();
-        partition = std::unique_lock<std::shared_mutex>(
-            t.relation.partition_mutex(target));
-        locked = target;
-      }
-      // Writes land in raw partitions only: the encoded layouts are
-      // immutable and tombstone-blind, so a write to a compressed
-      // partition materializes it back to raw first. Its engine stayed
-      // valid across the compressed phase (stamped fresh at compress
-      // time); it absorbs this write lazily like any other.
-      {
-        const Relation& part = t.relation.partition(target);
-        if (part.compressed()) {
-          part.Decompress();
-          t.decompressions.fetch_add(1, std::memory_order_relaxed);
-          Metrics().write_decompress.Add();
-        }
-      }
-      if (op.kind == WriteOp::Kind::kInsert) {
-        outcomes[i] = {true, t.relation.AppendTo(target, op.values)};
-        ++inserts;
-      } else if (t.relation.Delete(op.key)) {
-        outcomes[i] = {true, op.key};
-        ++deletes;
+  // The partition map must be stable for the whole commit (routing,
+  // mutexes, and the global-key router all live in it); writers enter
+  // the gate as ordinary (non-urgent) readers — they run on client
+  // threads and may wait out a pending swap.
+  RwGate::SharedGuard map_guard(t.relation.map_gate());
+  // One writer_mu acquisition commits the whole batch. Ops apply
+  // strictly in order (so keys and delete outcomes match the one-op
+  // loop); the partition lock is held across consecutive ops on the
+  // same partition and re-acquired only on a switch, so clustered
+  // batches amortize it.
+  std::unique_lock<std::shared_mutex> writer(t.writer_mu);
+  std::unique_lock<std::shared_mutex> partition;
+  size_t locked = t.relation.num_partitions();  // sentinel: none held
+  uint64_t inserts = 0, deletes = 0;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const WriteView& op = ops[i];
+    size_t target;
+    if (op.kind == WriteOp::Kind::kInsert) {
+      target =
+          t.relation.PartitionOf(op.values[t.relation.organizing_ordinal()]);
+    } else {
+      const std::optional<PartitionedRelation::Location> loc =
+          t.relation.Locate(op.key);
+      if (!loc.has_value()) continue;  // outcome stays {false, kInvalidKey}
+      target = loc->partition;
+    }
+    if (target != locked) {
+      if (partition.owns_lock()) partition.unlock();
+      partition = std::unique_lock<std::shared_mutex>(
+          t.relation.partition_mutex(target));
+      locked = target;
+    }
+    // Writes land in raw partitions only: the encoded layouts are
+    // immutable and tombstone-blind, so a write to a compressed
+    // partition materializes it back to raw first. Its engine stayed
+    // valid across the compressed phase (built over the raw columns at
+    // registration); it absorbs this write lazily like any other.
+    {
+      const Relation& part = t.relation.partition(target);
+      if (part.compressed()) {
+        part.Decompress();
+        t.decompressions.fetch_add(1, std::memory_order_relaxed);
+        Metrics().write_decompress.Add();
       }
     }
-    if (inserts > 0) t.inserts.fetch_add(inserts, std::memory_order_relaxed);
-    if (deletes > 0) t.deletes.fetch_add(deletes, std::memory_order_relaxed);
-    if (inserts + deletes > 0) {
-      Metrics().writes.Add(static_cast<double>(inserts + deletes));
+    if (op.kind == WriteOp::Kind::kInsert) {
+      outcomes[i] = {true, t.relation.AppendTo(target, op.values)};
+      ++inserts;
+    } else if (t.relation.Delete(op.key)) {
+      outcomes[i] = {true, op.key};
+      ++deletes;
     }
   }
-  // Outside every lock: a crossed trigger boundary may spawn a tick
-  // thread, which re-enters the gate on its own.
-  NoteOps(t, ops.size());
+  if (inserts > 0) t.inserts.fetch_add(inserts, std::memory_order_relaxed);
+  if (deletes > 0) t.deletes.fetch_add(deletes, std::memory_order_relaxed);
+  if (inserts + deletes > 0) {
+    Metrics().writes.Add(static_cast<double>(inserts + deletes));
+  }
 }
 
 std::vector<WriteOutcome> Database::ApplyBatch(const std::string& table,
@@ -736,29 +703,10 @@ bool Database::MaybeRepartition(const std::string& table) {
   if (t == nullptr || !t->adaptive.enabled || t->histogram == nullptr) {
     return false;
   }
-  // At most one tick in flight per table, manual or background.
+  // At most one tick in flight per table, across concurrent callers.
   if (t->tick_in_flight.exchange(true)) return false;
   TickFlagClearer clearer{t->tick_in_flight};
   return RunTick(*t);
-}
-
-void Database::NoteOps(Table& t, size_t n) {
-  if (n == 0 || !t.adaptive.enabled || t.histogram == nullptr ||
-      t.adaptive.trigger_interval == 0) {
-    return;
-  }
-  const uint64_t interval = t.adaptive.trigger_interval;
-  const uint64_t before = t.ops_seen.fetch_add(n, std::memory_order_relaxed);
-  if (before / interval == (before + n) / interval) return;  // no boundary
-  if (t.tick_in_flight.exchange(true)) return;
-  std::lock_guard<std::mutex> lock(t.tick_thread_mu);
-  // The previous tick thread (if any) observedly finished: it cleared
-  // tick_in_flight before exiting, so this join returns immediately.
-  if (t.tick_thread.joinable()) t.tick_thread.join();
-  t.tick_thread = std::thread([this, &t] {
-    TickFlagClearer clearer{t.tick_in_flight};
-    RunTick(t);
-  });
 }
 
 bool Database::RunTick(Table& t) {
@@ -768,23 +716,15 @@ bool Database::RunTick(Table& t) {
   // snapshot tolerates concurrent recorders.
   WorkloadHistogram::Snapshot snap = t.histogram->Snap();
   std::vector<RepartitionPolicy::PartitionInput> inputs;
-  size_t before_bytes = 0;
   {
     RwGate::SharedGuard gate(t.relation.map_gate());
     const size_t n = t.relation.num_partitions();
     inputs.resize(n);
     for (size_t i = 0; i < n; ++i) {
       std::shared_lock<std::shared_mutex> lock(t.relation.partition_mutex(i));
-      const Relation& part = t.relation.partition(i);
-      before_bytes += part.resident_column_bytes();
-      inputs[i].live_rows = part.num_live_rows();
+      inputs[i].live_rows = t.relation.partition(i).num_live_rows();
       inputs[i].cover_lo = t.relation.SliceCoverLo(i);
       inputs[i].cover_hi = t.relation.SliceCoverHi(i);
-      if (t.adaptive.compression.enabled) {
-        inputs[i].compressed = part.compressed();
-        inputs[i].compressible =
-            !inputs[i].compressed && part.num_deleted() == 0;
-      }
       if (i < snap.partitions.size()) {
         inputs[i].accesses = snap.partitions[i].accesses;
         inputs[i].split_candidates = std::move(snap.partitions[i].boundaries);
@@ -792,7 +732,7 @@ bool Database::RunTick(Table& t) {
     }
   }
   const RepartitionDecision decision = t.policy->Tick(inputs);
-  t.histogram->Decay(t.adaptive.decay);
+  t.histogram->Decay(AdaptiveConfig::kDecay);
   if (decision.kind == RepartitionDecision::Kind::kNone) return false;
 
   Repartitioner::Hooks hooks;
@@ -808,42 +748,15 @@ bool Database::RunTick(Table& t) {
     std::unique_lock<std::shared_mutex> lock(tables_mu_);
     catalog_.DropRelation(name);
   };
-  hooks.compression = t.adaptive.compression;
   Repartitioner repartitioner(std::move(hooks));
   if (!repartitioner.Execute(decision)) return false;
   t.policy->NoteExecuted(decision);
-  switch (decision.kind) {
-    case RepartitionDecision::Kind::kSplit:
-      t.splits.fetch_add(1, std::memory_order_relaxed);
-      Metrics().splits.Add();
-      break;
-    case RepartitionDecision::Kind::kMerge:
-      t.merges.fetch_add(1, std::memory_order_relaxed);
-      Metrics().merges.Add();
-      break;
-    case RepartitionDecision::Kind::kCompress:
-      t.compressions.fetch_add(1, std::memory_order_relaxed);
-      Metrics().compressions.Add();
-      break;
-    case RepartitionDecision::Kind::kDecompress:
-      t.decompressions.fetch_add(1, std::memory_order_relaxed);
-      Metrics().decompressions.Add();
-      break;
-    case RepartitionDecision::Kind::kNone:
-      break;
-  }
-  // Footprint around the executed action, read like Stats reads layouts
-  // (gate shared + per-partition shared locks). Gauges, not counters: the
-  // pair answers "what did the last layout action do to the table".
-  if (obs::MetricsEnabled()) {
-    size_t after_bytes = 0;
-    RwGate::SharedGuard gate(t.relation.map_gate());
-    for (size_t i = 0; i < t.relation.num_partitions(); ++i) {
-      std::shared_lock<std::shared_mutex> lock(t.relation.partition_mutex(i));
-      after_bytes += t.relation.partition(i).resident_column_bytes();
-    }
-    Metrics().footprint_before.Set(static_cast<double>(before_bytes));
-    Metrics().footprint_after.Set(static_cast<double>(after_bytes));
+  if (decision.kind == RepartitionDecision::Kind::kSplit) {
+    t.splits.fetch_add(1, std::memory_order_relaxed);
+    Metrics().splits.Add();
+  } else {
+    t.merges.fetch_add(1, std::memory_order_relaxed);
+    Metrics().merges.Add();
   }
   return true;
 }
@@ -866,8 +779,6 @@ TableStats Database::Stats(const std::string& table) const {
     for (size_t i = 0; i < stats.partitions; ++i) {
       // Shared: consistent per-partition snapshot that excludes writers
       // and cracking readers but runs concurrently with other snapshots.
-      // Also excludes ResetPartitionEngine (exclusive), so the engine
-      // name reads below never race a compression-layer engine swap.
       std::shared_lock<std::shared_mutex> lock(t.relation.partition_mutex(i));
       if (i == 0) stats.engine = t.engine->name();
       const Relation& part = t.relation.partition(i);

@@ -10,7 +10,6 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -88,11 +87,9 @@ struct PartitionStats {
   /// access count and partition-local execution micros.
   uint64_t accesses = 0;
   double access_micros = 0;
-  /// This partition's engine kind (per-partition engines can be reset by
-  /// the compression layer, so the table-level name is not the whole
-  /// story) and physical layout: "raw", or the distinct codecs of its
-  /// compressed columns ("for", "rle+dict", ...), plus the bytes its
-  /// columns occupy in that layout.
+  /// This partition's engine kind and physical layout: "raw", or the
+  /// distinct codecs of its compressed columns ("for", "rle+dict", ...),
+  /// plus the bytes its columns occupy in that layout.
   std::string engine;
   std::string codec;
   size_t resident_bytes = 0;
@@ -116,8 +113,8 @@ struct TableStats {
   /// Adaptive repartitioning actions executed so far.
   uint64_t splits = 0;
   uint64_t merges = 0;
-  /// Compression layer: partitions currently compressed, layout actions
-  /// executed (decompressions counts adaptive + write-path + query-driven
+  /// Compression layer: partitions currently compressed, layout changes
+  /// (compressions at load; decompressions by writes and by query-driven
   /// crack-on-touch), queries answered in the encoded domain, and the
   /// resident footprint of all base columns in their current layouts —
   /// `bytes_per_row` is that footprint over the row-slot count (raw
@@ -194,12 +191,12 @@ class Database {
   /// fine).
   ///
   /// `adaptive` (off by default) arms workload-aware repartitioning for
-  /// this table: queries feed a WorkloadHistogram, and each tick — manual
-  /// MaybeRepartition() or, with `trigger_interval > 0`, an automatic
-  /// background tick every that many ops — may hot-split or cold-merge
-  /// partitions online (see src/adaptive/ and docs/ARCHITECTURE.md,
-  /// "Adaptive repartitioning"). Range sharding only; on hash-sharded
-  /// tables ticks are no-ops.
+  /// this table: queries feed a WorkloadHistogram, and each
+  /// MaybeRepartition() tick may hot-split or cold-merge partitions online
+  /// (see src/adaptive/ and docs/ARCHITECTURE.md, "Adaptive
+  /// repartitioning"). Range sharding only; on hash-sharded tables ticks
+  /// are no-ops. `adaptive.compression` picks the load-time layout, for
+  /// any sharding.
   Expected<size_t> RegisterSharded(const std::string& table,
                                    const Relation& source,
                                    const PartitionSpec& spec,
@@ -210,7 +207,9 @@ class Database {
   /// thread: consults the workload histogram and policy, and executes at
   /// most one hot-split or cold-merge. Returns true iff an action was
   /// executed. No-op (false) when the table is unknown, adaptivity is off
-  /// for it, it is hash-sharded, or another tick is already in flight. Must
+  /// for it, it is hash-sharded, or another tick is already in flight (the
+  /// at-most-one rule for concurrent callers). Nothing ticks on its own:
+  /// the caller decides how often. Must
   /// not be called from a pool worker of this database's pool (the
   /// rebuild blocks on engine-construction futures).
   bool MaybeRepartition(const std::string& table);
@@ -333,20 +332,14 @@ class Database {
     std::unique_ptr<RepartitionPolicy> policy;
     std::atomic<uint64_t> splits{0};
     std::atomic<uint64_t> merges{0};
-    /// Layout actions: adaptive/load-time compressions, and adaptive +
-    /// write-path decompressions (the engine's crack-on-touch counter is
-    /// added at Stats time).
+    /// Layout changes: load-time compressions and write-path
+    /// decompressions (the engine's crack-on-touch counter is added at
+    /// Stats time).
     std::atomic<uint64_t> compressions{0};
     std::atomic<uint64_t> decompressions{0};
-    /// Background-trigger bookkeeping: ops served since registration, an
-    /// at-most-one-tick-in-flight flag, and the (joinable) tick thread.
-    /// Ticks run on their own thread, never on a pool worker: the swap
-    /// blocks until gate readers drain, and a worker must stay free to
-    /// run the group tasks those readers are waiting on.
-    std::atomic<uint64_t> ops_seen{0};
+    /// At most one tick in flight per table, whoever calls
+    /// MaybeRepartition.
     std::atomic<bool> tick_in_flight{false};
-    std::mutex tick_thread_mu;
-    std::thread tick_thread;
   };
 
   /// Non-owning view of one write: the group-commit core works on views
@@ -362,11 +355,6 @@ class Database {
   /// acquisition, filling `outcomes[i]` per op (see ApplyBatch).
   void ApplyViews(Table& t, std::span<const WriteView> ops,
                   WriteOutcome* outcomes);
-
-  /// Counts served ops toward the table's background repartition trigger
-  /// and, when a trigger boundary is crossed, starts a tick thread
-  /// (unless one is already in flight).
-  void NoteOps(Table& t, size_t n);
 
   /// The tick body: histogram snapshot -> policy -> Repartitioner.
   /// Returns true iff an action was executed. Caller holds the table's
@@ -403,8 +391,7 @@ class Database {
   /// their bookkeeping: the table's query counter, each trace's admission
   /// span and root duration, and the per-query LogQuery epilogue.
   /// `consumes` and `traces` are parallel to `specs` (null traces =
-  /// untraced). Callers count the ops toward the repartition trigger
-  /// (NoteOps) on the client thread.
+  /// untraced).
   std::vector<ExecuteResult> Dispatch(
       Table& t, const std::string& table, std::span<const QuerySpec> specs,
       std::span<const ConsumeSpec> consumes,

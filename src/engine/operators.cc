@@ -107,42 +107,10 @@ std::vector<Value> GroupedCount(const Groups& groups) {
   return out;
 }
 
-std::vector<Value> GroupedMin(const Groups& groups,
-                              std::span<const Value> values) {
-  std::vector<Value> out(groups.num_groups(), kMaxValue);
-  for (size_t row = 0; row < values.size(); ++row) {
-    out[groups.group_of_row[row]] =
-        std::min(out[groups.group_of_row[row]], values[row]);
-  }
-  return out;
-}
-
-std::vector<Value> GroupedMax(const Groups& groups,
-                              std::span<const Value> values) {
-  std::vector<Value> out(groups.num_groups(), kMinValue);
-  for (size_t row = 0; row < values.size(); ++row) {
-    out[groups.group_of_row[row]] =
-        std::max(out[groups.group_of_row[row]], values[row]);
-  }
-  return out;
-}
-
 Value MaxOf(std::span<const Value> values) {
   Value m = kMinValue;
   for (Value v : values) m = std::max(m, v);
   return m;
-}
-
-Value MinOf(std::span<const Value> values) {
-  Value m = kMaxValue;
-  for (Value v : values) m = std::min(m, v);
-  return m;
-}
-
-Value SumOf(std::span<const Value> values) {
-  Value s = 0;
-  for (Value v : values) s += v;
-  return s;
 }
 
 namespace {

@@ -56,16 +56,9 @@ Groups GroupBySpans(std::span<const std::span<const Value>> key_columns);
 std::vector<Value> GroupedSum(const Groups& groups,
                               std::span<const Value> values);
 std::vector<Value> GroupedCount(const Groups& groups);
-std::vector<Value> GroupedMin(const Groups& groups,
-                              std::span<const Value> values);
-std::vector<Value> GroupedMax(const Groups& groups,
-                              std::span<const Value> values);
 
-/// Whole-column aggregates. Max/Min return kMinValue/kMaxValue on empty
-/// input.
+/// Whole-column maximum; kMinValue on empty input.
 Value MaxOf(std::span<const Value> values);
-Value MinOf(std::span<const Value> values);
-Value SumOf(std::span<const Value> values);
 
 /// Row ordinals sorted by the given columns (lexicographic; `ascending`
 /// per column, defaulting to ascending when shorter than `columns`).

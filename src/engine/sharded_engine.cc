@@ -239,18 +239,6 @@ void ShardedEngine::SpliceEngines(size_t first, size_t removed,
   RefreshPartitionCounters();
 }
 
-void ShardedEngine::ResetPartitionEngine(size_t p) {
-  if (p >= engines_.size()) {
-    Die("engine reset out of bounds", relation_->name());
-  }
-  // Element replacement only — the vector itself is stable, so groups
-  // running on other partitions (map gate held shared by everyone) are
-  // unaffected. The caller's exclusive hold of partition p's lock excludes
-  // every reader of this slot.
-  engines_[p] = factory_(relation_->partition(p));
-  if (engines_[p] == nullptr) Die("factory returned null", relation_->name());
-}
-
 ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
     std::span<const QuerySpec> specs, std::span<const ConsumeSpec> consumes,
     std::span<obs::QueryTrace* const> traces) {
@@ -354,9 +342,6 @@ ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
                           st.task_start, lock_elapsed);
       }
     }
-    // The engine reference is resolved under the lock: the compression
-    // layer stamps fresh partition engines (ResetPartitionEngine) under
-    // this same lock held exclusively.
     Engine& child = *engines_[p];
     const Relation& part = relation_->partition(p);
     for (size_t i = 0; i < groups[p].size(); ++i) {

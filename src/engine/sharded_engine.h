@@ -124,14 +124,6 @@ class ShardedEngine {
   void SpliceEngines(size_t first, size_t removed,
                      std::vector<std::unique_ptr<Engine>> added);
 
-  /// Stamps a fresh engine for partition `p`, dropping every auxiliary
-  /// structure (cracker copies, map sets) the old one accumulated. Used
-  /// by the compression layer right before a partition's base columns are
-  /// compressed — the partition must still be raw, since eager engine
-  /// kinds (row) read the base columns at construction. Caller holds the
-  /// map gate (shared suffices) and partition `p`'s lock exclusively.
-  void ResetPartitionEngine(size_t p);
-
   /// Compression-path observability: sub-queries answered entirely in the
   /// encoded domain, and crack-on-touch decompressions triggered by
   /// sub-queries the encoded domain could not serve.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <limits>
+#include <optional>
 #include <unordered_set>
 
 namespace crackdb {
@@ -116,6 +117,17 @@ size_t LowerBoundCode(const EncodedColumn& enc, uint64_t code) {
 /// (non-empty) range r. r.hi + 1 cannot wrap: codes stay below 2^63.
 PositionRange SortedSpan(const EncodedColumn& enc, const CodeRange& r) {
   return {LowerBoundCode(enc, r.lo), LowerBoundCode(enc, r.hi + 1)};
+}
+
+/// The span rule for packed (FOR and dictionary) columns: when the layout
+/// names every match of the non-empty code range r without a per-row scan,
+/// the one span holding them — [0, n) when r covers every code, two binary
+/// searches on sorted codes. Otherwise nullopt: the codes must be scanned.
+std::optional<PositionRange> PackedSpan(const EncodedColumn& enc,
+                                        const CodeRange& r) {
+  if (CoversAllCodes(enc, r)) return PositionRange{0, enc.n};
+  if (enc.sorted) return SortedSpan(enc, r);
+  return std::nullopt;
 }
 
 /// Per-thread code histogram, zeroed to `size` entries. Reused across
@@ -392,7 +404,7 @@ CodecKind ChooseCodec(std::span<const Value> values,
     num_runs += static_cast<size_t>(v != values[i - 1]);
   }
   if (static_cast<double>(n) >=
-      config.min_avg_run * static_cast<double>(num_runs)) {
+      CompressionConfig::kMinAvgRun * static_cast<double>(num_runs)) {
     return CodecKind::kRle;
   }
   // Bounded distinct count with early exit: one hash insert per element
@@ -414,7 +426,7 @@ CodecKind ChooseCodec(std::span<const Value> values,
       static_cast<uint64_t>(max) - static_cast<uint64_t>(min);
   const unsigned bits =
       range == 0 ? 0 : static_cast<unsigned>(std::bit_width(range));
-  if (bits <= config.max_for_bits) return CodecKind::kFor;
+  if (bits <= CompressionConfig::kMaxForBits) return CodecKind::kFor;
   return CodecKind::kRaw;
 }
 
@@ -501,8 +513,9 @@ size_t EncodedCount(const EncodedColumn& enc, const RangePredicate& pred) {
   }
   const CodeRange r = Translate(enc, pred);
   if (r.empty) return 0;
-  if (CoversAllCodes(enc, r)) return enc.n;
-  if (enc.sorted) return SortedSpan(enc, r).size();
+  if (const std::optional<PositionRange> s = PackedSpan(enc, r)) {
+    return s->size();
+  }
   if (enc.kind == CodecKind::kDict && !enc.code_hist.empty()) {
     // The encode-time histogram answers dictionary counts in O(|dict|).
     const uint64_t hi =
@@ -557,13 +570,8 @@ void EncodedSelect(const EncodedColumn& enc, const RangePredicate& pred,
   }
   const CodeRange r = Translate(enc, pred);
   if (r.empty) return;
-  if (CoversAllCodes(enc, r)) {
-    spans.push_back({0, enc.n});
-    return;
-  }
-  if (enc.sorted) {
-    const PositionRange s = SortedSpan(enc, r);
-    if (!s.empty()) spans.push_back(s);
+  if (const std::optional<PositionRange> s = PackedSpan(enc, r)) {
+    if (!s->empty()) spans.push_back(*s);
     return;
   }
   out->positional = true;
@@ -620,6 +628,15 @@ size_t EncodedFoldFiltered(const EncodedColumn& enc,
     case CodecKind::kFor: {
       const CodeRange r = Translate(enc, pred);
       if (r.empty) return 0;
+      if (const std::optional<PositionRange> s = PackedSpan(enc, r)) {
+        if (s->size() == enc.n) {
+          EncodedFold(enc, op, acc, valid);
+        } else if (!s->empty()) {
+          FoldPackedRows(enc, EachSpannedRow({&*s, 1}), s->size(), op, acc,
+                         valid);
+        }
+        return s->size();
+      }
       kernels::FoldPacked(op, enc.words.data(), enc.bits, enc.n,
                           enc.for_base, r.lo, r.hi, acc, valid);
       return kernels::CountPacked(enc.words.data(), enc.bits, enc.n, r.lo,

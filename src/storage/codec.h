@@ -38,11 +38,16 @@ enum class CodecKind : uint8_t {
 /// Short stable name for stats and bench JSON ("raw", "for", "rle", "dict").
 const char* CodecName(CodecKind kind);
 
-/// Knobs for codec selection and the adaptive hot/cold layout policy.
-/// Embedded in AdaptiveConfig; `enabled` gates everything, and
-/// `compress_on_load` additionally compresses eligible partitions at
-/// RegisterSharded time (before any access statistics exist).
+/// Codec selection knobs. Embedded in AdaptiveConfig; `enabled` gates
+/// everything, and `compress_on_load` compresses eligible partitions at
+/// RegisterSharded time. After load a partition's layout changes only when
+/// a query or a write decompresses it (crack-on-touch).
 struct CompressionConfig {
+  /// RLE is chosen only when the average run length reaches this.
+  static constexpr double kMinAvgRun = 4.0;
+  /// FOR is chosen only when max-min fits this many bits.
+  static constexpr unsigned kMaxForBits = 32;
+
   bool enabled = false;
   bool compress_on_load = false;
   /// Partitions (strictly) smaller than this stay raw: the encoded scan
@@ -51,16 +56,6 @@ struct CompressionConfig {
   /// Dictionary is chosen only when the distinct-value count is at most
   /// this (keeps the dict L1/L2-resident for the fold histogram pass).
   size_t max_dict_card = 4096;
-  /// RLE is chosen only when the average run length reaches this.
-  double min_avg_run = 4.0;
-  /// FOR is chosen only when max-min fits this many bits.
-  unsigned max_for_bits = 32;
-  /// Adaptive layout thresholds on the workload histogram's access share:
-  /// a partition at or below `cold_compress_share` is compressed, one at
-  /// or above `hot_decompress_share` is decompressed so queries use the
-  /// cracked index again.
-  double cold_compress_share = 0.02;
-  double hot_decompress_share = 0.25;
 };
 
 /// One encoded column. Which members are live depends on `kind`:
@@ -171,7 +166,11 @@ void EncodedSelect(const EncodedColumn& enc, const RangePredicate& pred,
 void EncodedFold(const EncodedColumn& enc, kernels::FoldOp op, Value* acc,
                  bool* valid);
 
-/// Folds matching positions only; returns the match count.
+/// Folds the positions matching `pred` (a predicate on this column's own
+/// values) only; returns the match count. Packed columns follow
+/// EncodedSelect's span rule: a covering predicate folds from the frame
+/// metadata or code_hist, sorted FOR folds its one span, and only the
+/// rest scan the packed codes.
 size_t EncodedFoldFiltered(const EncodedColumn& enc,
                            const RangePredicate& pred, kernels::FoldOp op,
                            Value* acc, bool* valid);

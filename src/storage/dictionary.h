@@ -29,8 +29,6 @@ class Dictionary {
   /// Returns the code for `s`; dies if absent.
   Value CodeOf(const std::string& s) const;
 
-  bool Contains(const std::string& s) const { return codes_.count(s) != 0; }
-
   const std::string& Decode(Value code) const { return strings_[code]; }
 
   size_t size() const { return strings_.size(); }

@@ -1,8 +1,6 @@
 #include "tpch/queries.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -895,32 +893,6 @@ QueryParams RandQ20(TpchDatabase& db, Rng& rng) {
 
 }  // namespace
 
-TpchResult RunQ1Grouped(TpchDatabase& db, EngineSet& es,
-                        const QueryParams& p) {
-  (void)db;
-  QueryBuilder builder;
-  builder.Where("l_shipdate", Le(p.date1))
-      .GroupBy("l_returnflag")
-      .Aggregate(AggregateOp::kSum, "l_quantity")
-      .Aggregate(AggregateOp::kSum, "l_extendedprice")
-      .Aggregate(AggregateOp::kCount, "l_quantity");
-  Query q = builder.Build();
-  if (!q.error.empty()) {
-    std::fprintf(stderr, "crackdb: Q1-grouped failed to compile: %s\n",
-                 q.error.c_str());
-    std::abort();
-  }
-  const ExecuteResult result = es.For("lineitem").Execute(q.spec, q.consume);
-  TpchResult rows;
-  rows.reserve(result.groups.num_groups());
-  for (size_t g = 0; g < result.groups.num_groups(); ++g) {
-    rows.push_back({result.groups.keys[g], result.groups.aggregates[0][g],
-                    result.groups.aggregates[1][g],
-                    result.groups.aggregates[2][g]});
-  }
-  return rows;  // already sorted by group key (the finalize contract)
-}
-
 const std::vector<TpchQueryDef>& AllQueries() {
   static const std::vector<TpchQueryDef>* kQueries = new std::vector<
       TpchQueryDef>{
@@ -938,15 +910,6 @@ const std::vector<TpchQueryDef>& AllQueries() {
       {20, "part-promotion", RunQ20, RandQ20},
   };
   return *kQueries;
-}
-
-const TpchQueryDef& QueryByNumber(int number) {
-  for (const TpchQueryDef& q : AllQueries()) {
-    if (q.number == number) return q;
-  }
-  std::fprintf(stderr, "crackdb: TPC-H query %d not in the evaluated set\n",
-               number);
-  std::abort();
 }
 
 }  // namespace crackdb::tpch

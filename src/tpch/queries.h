@@ -68,19 +68,6 @@ struct TpchQueryDef {
 /// non-string attribute): 1, 3, 4, 6, 7, 8, 10, 12, 14, 15, 19, 20.
 const std::vector<TpchQueryDef>& AllQueries();
 
-/// Q1-shaped grouped pushdown: GROUP BY l_returnflag under Q1's shipdate
-/// predicate with sum(l_quantity), sum(l_extendedprice) and a per-group
-/// count, compiled through the fluent GroupBy terminal and executed as a
-/// hash-aggregation pushdown (Engine::Execute) — the whole result is built
-/// without a single tuple reconstruction. Returns {flag, sum_qty,
-/// sum_base, count} rows sorted by flag. Deliberately NOT in AllQueries():
-/// the evaluated registry stays the paper's twelve.
-TpchResult RunQ1Grouped(TpchDatabase& db, EngineSet& es,
-                        const QueryParams& p);
-
-/// Lookup by query number; dies if the query is not in the evaluated set.
-const TpchQueryDef& QueryByNumber(int number);
-
 }  // namespace crackdb::tpch
 
 #endif  // CRACKDB_TPCH_QUERIES_H_

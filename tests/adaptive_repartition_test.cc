@@ -91,7 +91,7 @@ TEST(RwGateTest, UrgentReaderPassesPendingWriterOrdinaryWaits) {
 // ---------------------------------------------------------------------------
 
 TEST(WorkloadHistogramTest, RecordsSnapshotsDecaysAndResets) {
-  WorkloadHistogram hist(3, /*sketch_capacity=*/4);
+  WorkloadHistogram hist(3);
   hist.RecordAccess(0, 4, 100.0);
   hist.RecordAccess(0, 2, 50.0);
   hist.RecordAccess(2, 1, 10.0);
@@ -117,11 +117,13 @@ TEST(WorkloadHistogramTest, RecordsSnapshotsDecaysAndResets) {
 }
 
 TEST(WorkloadHistogramTest, BoundarySketchIsBoundedNewestWins) {
-  WorkloadHistogram hist(1, /*sketch_capacity=*/4);
-  for (Value v = 1; v <= 100; ++v) hist.RecordBoundary(0, v);
+  constexpr Value kCap = WorkloadHistogram::kSketchCapacity;
+  WorkloadHistogram hist(1);
+  for (Value v = 1; v <= 10 * kCap; ++v) hist.RecordBoundary(0, v);
   const WorkloadHistogram::Snapshot snap = hist.Snap();
-  ASSERT_EQ(snap.partitions[0].boundaries.size(), 4u);
-  for (Value v : snap.partitions[0].boundaries) EXPECT_GT(v, 96);
+  ASSERT_EQ(snap.partitions[0].boundaries.size(),
+            WorkloadHistogram::kSketchCapacity);
+  for (Value v : snap.partitions[0].boundaries) EXPECT_GT(v, 9 * kCap);
 }
 
 // ---------------------------------------------------------------------------
@@ -136,7 +138,6 @@ AdaptiveConfig TestConfig() {
   cfg.cold_share = 0.05;
   cfg.min_partition_rows = 100;
   cfg.max_partitions = 8;
-  cfg.min_partitions = 2;
   cfg.cooldown_ticks = 2;
   return cfg;
 }
@@ -220,11 +221,10 @@ TEST(RepartitionPolicyTest, ColdMergePicksColdestAdjacentPair) {
 
 TEST(RepartitionPolicyTest, MergeRespectsMinPartitions) {
   AdaptiveConfig cfg = TestConfig();
-  cfg.min_partitions = 2;
   cfg.cold_share = 0.5;
   RepartitionPolicy policy(cfg);
   // Both partitions are below min_partition_rows, so no split either:
-  // at n == min_partitions the cold pair must survive.
+  // at n == kMinPartitions (2) the cold pair must survive.
   std::vector<RepartitionPolicy::PartitionInput> in = {
       Input(20, 50, 1, 500), Input(1, 50, 501, 1000)};
   EXPECT_EQ(policy.Tick(in).kind, RepartitionDecision::Kind::kNone);
@@ -298,9 +298,7 @@ class AdaptiveRepartitionTest : public ::testing::TestWithParam<const char*> {
     cfg.cold_share = 0.02;  // effectively merge-free unless raised
     cfg.min_partition_rows = 32;
     cfg.max_partitions = 16;
-    cfg.min_partitions = 2;
     cfg.cooldown_ticks = 0;
-    cfg.sketch_capacity = 32;
     return cfg;
   }
 
@@ -381,7 +379,6 @@ TEST_P(AdaptiveRepartitionTest, ColdMergesPreserveAnswers) {
   AdaptiveConfig cfg = Aggressive();
   cfg.hot_share = 2.0;    // splits can never fire
   cfg.cold_share = 0.25;  // cold pairs merge readily
-  cfg.min_partitions = 2;
   Database db;
   db.RegisterSharded("R", *source_, RangeSpec(8), GetParam(), cfg);
 
@@ -399,36 +396,11 @@ TEST_P(AdaptiveRepartitionTest, ColdMergesPreserveAnswers) {
   EXPECT_GT(stats.merges, 0u);
   EXPECT_GT(merges_fired, 0u);
   EXPECT_LT(stats.partitions, 8u);
-  EXPECT_GE(stats.partitions, cfg.min_partitions);
+  EXPECT_GE(stats.partitions, AdaptiveConfig::kMinPartitions);
 
   QuerySpec full_scan;
   full_scan.projections = {AttrName(1), AttrName(2), AttrName(3), AttrName(4)};
   ExpectMatches(&db, full_scan, "final full scan after merges");
-}
-
-TEST_P(AdaptiveRepartitionTest, BackgroundTriggerRepartitions) {
-  AdaptiveConfig cfg = Aggressive();
-  cfg.trigger_interval = 16;  // automatic ticks from the serving paths
-  DatabaseOptions options;
-  options.pool_threads = 2;
-  Database db(options);
-  db.RegisterSharded("R", *source_, RangeSpec(4), GetParam(), cfg);
-
-  Rng rng(23);
-  for (int q = 0; q < 400; ++q) {
-    ExpectMatches(&db, HotQuery(&rng, 1, kDomain / 4),
-                  "background q " + std::to_string(q));
-    if (db.Stats("R").splits > 0) break;
-  }
-  // The background thread may still be mid-tick; one manual tick bounds
-  // the wait (it no-ops if one is in flight, so loop briefly).
-  for (int i = 0; i < 50 && db.Stats("R").splits == 0; ++i) {
-    (void)db.MaybeRepartition("R");
-    for (int q = 0; q < 8; ++q) {
-      (void)db.Execute({"R", HotQuery(&rng, 1, kDomain / 4)});
-    }
-  }
-  EXPECT_GT(db.Stats("R").splits, 0u);
 }
 
 TEST_P(AdaptiveRepartitionTest, DegenerateTinyDomainNeverAborts) {

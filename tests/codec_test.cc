@@ -252,6 +252,19 @@ TEST(CodecRoundTripTest, ForMatchesOracle) {
   }
 }
 
+TEST(CodecRoundTripTest, SortedForMatchesOracle) {
+  // Ascending with duplicates: `sorted` is set, so every predicate of the
+  // oracle matrix takes the covering or the sorted-span rule.
+  for (size_t n : {1u, 2u, 63u, 64u, 65u, 1000u}) {
+    std::vector<Value> v(n);
+    for (size_t i = 0; i < n; ++i) v[i] = static_cast<Value>(i / 3) * 7 - 50;
+    EncodedColumn enc;
+    ASSERT_TRUE(EncodeColumn(v, CodecKind::kFor, &enc));
+    EXPECT_TRUE(enc.sorted);
+    CheckEncodedAgainstOracle(v, CodecKind::kFor);
+  }
+}
+
 TEST(CodecRoundTripTest, DictMatchesOracle) {
   Rng rng(19);
   for (size_t n : {size_t{1}, size_t{64}, size_t{1000}}) {
@@ -652,6 +665,28 @@ void CheckSpanPaths(const std::vector<Value>& values, CodecKind kind,
         if (i > 0) {
           EXPECT_LT(rows.spans[i - 1].end, rows.spans[i].begin) << where;
         }
+      }
+    }
+
+    // The same-column filtered fold follows the span rule too: covering
+    // and sorted-span predicates never scan the codes.
+    for (const FoldOp op : {FoldOp::kSum, FoldOp::kMin, FoldOp::kMax}) {
+      for (const bool start_valid : {false, true}) {
+        Value want_acc = start_valid ? -7 : 123;
+        bool want_valid = start_valid;
+        if (!want.empty()) {
+          kernels::FoldGather(op, values.data(), want.data(), want.size(),
+                              &want_acc, &want_valid);
+        }
+        Value got = start_valid ? -7 : 123;
+        bool got_valid = start_valid;
+        EXPECT_EQ(EncodedFoldFiltered(enc, pred, op, &got, &got_valid),
+                  want.size())
+            << where;
+        EXPECT_EQ(got_valid, want_valid) << where;
+        EXPECT_EQ(got, want_acc) << where << " filtered op="
+                                 << static_cast<int>(op)
+                                 << " start_valid=" << start_valid;
       }
     }
 

@@ -106,8 +106,7 @@ TEST(DictionaryTest, EncodeDecodeRoundTrip) {
   EXPECT_NE(a, b);
   EXPECT_EQ(dict.Decode(a), "apple");
   EXPECT_EQ(dict.CodeOf("banana"), b);
-  EXPECT_TRUE(dict.Contains("apple"));
-  EXPECT_FALSE(dict.Contains("cherry"));
+  EXPECT_EQ(dict.size(), 2u);
 }
 
 TEST(DictionaryTest, RegisterSortedAssignsLexicographicCodes) {

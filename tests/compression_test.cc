@@ -2,9 +2,9 @@
 // layouts"): a compress-on-load database answers every query shape
 // bit-for-bit like its raw twin across all engine kinds; encoded-servable
 // queries stay in the encoded domain while tuple reconstruction and
-// writes crack-on-touch (decompress the touched partition only); and the
-// adaptive layout loop compresses cold partitions and decompresses hot
-// ones through the regular tick machinery. Stats must expose all of it.
+// writes crack-on-touch (decompress the touched partition only); and a
+// compressed partition that turns hot splits exactly. Stats must expose
+// all of it.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "engine/database.h"
 #include "engine/engine_factory.h"
+#include "engine/plain_engine.h"
 #include "engine/query.h"
 #include "storage/catalog.h"
 
@@ -70,8 +71,7 @@ class CompressionTest : public ::testing::Test {
     return spec;
   }
 
-  /// Compression on, with the adaptive layout loop off (no background
-  /// ticks, no histogram) — the compress-on-load configuration.
+  /// Compression on, adaptation off — the compress-on-load configuration.
   static AdaptiveConfig CompressOnLoad() {
     AdaptiveConfig adaptive;
     adaptive.compression.enabled = true;
@@ -328,57 +328,73 @@ TEST_F(CompressionTest, WritesDecompressTheTargetPartition) {
   EXPECT_EQ(after->count, count->count - 1);
 }
 
-TEST_F(CompressionTest, AdaptiveTickCompressesColdAndDecompressesHot) {
-  AdaptiveConfig adaptive;
+TEST_F(CompressionTest, CompressedPartitionThatTurnsHotSplitsExactly) {
+  // Compress-on-load plus adaptation: encoded-servable counts keep the hot
+  // partition compressed, so the split must take the repartitioner's
+  // decompress-first snapshot path.
+  AdaptiveConfig adaptive = CompressOnLoad();
   adaptive.enabled = true;
-  adaptive.compression.enabled = true;
   adaptive.min_accesses = 8;
+  adaptive.hot_share = 0.5;
+  adaptive.cold_share = 0.0;  // no merges: the split is the only action
+  adaptive.min_partition_rows = 256;
   adaptive.cooldown_ticks = 0;
-  // Neutralize split/merge so the layout actions are the only candidates.
-  adaptive.hot_share = 1.1;
-  adaptive.cold_share = 0.0;
-  adaptive.compression.min_rows = 256;
-  auto db = MakeDb("selection-cracking", RangeSpec(), adaptive);
-  ASSERT_EQ(db->Stats("R").compressed_partitions, 0u);
+  for (const char* kind : {"selection-cracking", "sideways", "partial"}) {
+    auto db = MakeDb(kind, RangeSpec(), adaptive);
+    const TableStats before = db->Stats("R");
+    ASSERT_EQ(before.compressed_partitions, kPartitions) << kind;
+    const Value hot_hi = before.per_partition[0].cover_hi;
 
-  // Hammer partition 0; the untouched partitions turn cold. Each tick
-  // executes at most one action, so loop until the layout settles.
-  for (int round = 0; round < 6 && db->Stats("R").compressed_partitions < 1;
-       ++round) {
-    for (int q = 0; q < 32; ++q) {
-      auto count = db->From("R").Where(AttrName(1), 1, 300).Count().Execute();
-      ASSERT_TRUE(count.ok()) << count.error();
+    bool split = false;
+    for (int round = 0; round < 8 && !split; ++round) {
+      for (int q = 0; q < 16; ++q) {
+        auto count = db->From("R")
+                         .Where(AttrName(1), 1 + q, hot_hi - q)
+                         .Count()
+                         .Execute();
+        ASSERT_TRUE(count.ok()) << count.error();
+      }
+      ASSERT_NE(db->Stats("R").per_partition[0].codec, "raw") << kind;
+      split = db->MaybeRepartition("R");
     }
-    (void)db->MaybeRepartition("R");
-  }
-  TableStats stats = db->Stats("R");
-  EXPECT_GT(stats.compressions, 0u);
-  ASSERT_GT(stats.compressed_partitions, 0u);
+    ASSERT_TRUE(split) << kind;
+    const TableStats after = db->Stats("R");
+    EXPECT_EQ(after.splits, 1u) << kind;
+    EXPECT_EQ(after.partitions, kPartitions + 1) << kind;
+    EXPECT_EQ(after.compressed_partitions, kPartitions - 1) << kind;
+    EXPECT_EQ(after.rows, kRows) << kind;
 
-  // Find a compressed partition and hammer its cover range: its access
-  // share crosses hot_decompress_share and a tick restores the raw (and
-  // crackable) layout.
-  size_t target = stats.per_partition.size();
-  for (size_t i = 0; i < stats.per_partition.size(); ++i) {
-    if (stats.per_partition[i].codec != "raw") {
-      target = i;
-      break;
-    }
-  }
-  ASSERT_LT(target, stats.per_partition.size());
-  const Value lo = stats.per_partition[target].cover_lo;
-  const Value hi = stats.per_partition[target].cover_hi;
-  bool decompressed = false;
-  for (int round = 0; round < 6 && !decompressed; ++round) {
-    for (int q = 0; q < 32; ++q) {
+    PlainEngine reference(*source_);
+    QuerySpec full_scan;
+    full_scan.projections = {AttrName(1), AttrName(2), AttrName(3)};
+    EXPECT_EQ(ZipRows(db->Execute({"R", full_scan})->rows),
+              ZipRows(reference.Run(full_scan)))
+        << kind;
+    for (const auto& [lo, hi] : std::vector<std::pair<Value, Value>>{
+             {1, kDomain}, {1, hot_hi / 2}, {hot_hi / 2, hot_hi + 50}}) {
+      QuerySpec range;
+      range.selections = {{AttrName(1), {lo, hi}}};
+      range.projections = {AttrName(2), AttrName(3)};
+      const QueryResult want = reference.Run(range);
+      EXPECT_EQ(ZipRows(db->Execute({"R", range})->rows), ZipRows(want))
+          << kind << " [" << lo << ", " << hi << "]";
       auto count = db->From("R").Where(AttrName(1), lo, hi).Count().Execute();
       ASSERT_TRUE(count.ok()) << count.error();
+      EXPECT_EQ(count->count, want.num_rows) << kind;
     }
-    (void)db->MaybeRepartition("R");
-    decompressed = db->Stats("R").per_partition[target].codec == "raw";
+
+    // Global keys issued before the split still resolve: every original
+    // row of the split slice can be deleted once, and only once.
+    size_t deleted = 0;
+    for (Key k = 0; k < kRows && deleted < 8; ++k) {
+      if (source_->column(0)[k] > hot_hi) continue;
+      EXPECT_TRUE(db->Delete("R", k)) << kind << " key " << k;
+      EXPECT_FALSE(db->Delete("R", k)) << kind << " key " << k;
+      ++deleted;
+    }
+    EXPECT_EQ(deleted, 8u) << kind;
+    EXPECT_EQ(db->Stats("R").live_rows, kRows - deleted) << kind;
   }
-  EXPECT_TRUE(decompressed);
-  EXPECT_GT(db->Stats("R").decompressions, 0u);
 }
 
 TEST_F(CompressionTest, HashShardedTablesCompressOnLoadOnly) {

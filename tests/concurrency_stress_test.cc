@@ -386,11 +386,10 @@ TEST_P(ConcurrencyStressTest, SnapshotsRunConcurrentlyWithTraffic) {
 
 // The adaptive-repartitioning storm: clients hammer a *hot range* with
 // mixed reads and writes while splits and merges execute underneath them,
-// both from background trigger ticks (every 64 ops) and from a dedicated
-// thread spamming manual MaybeRepartition. Every mid-storm answer is
-// structurally checked, the final state must equal a serial replay, and a
-// deterministic post-storm phase proves the split machinery actually
-// fired. Under TSan this exercises the map-gate swap protocol end to end.
+// driven by a dedicated thread spamming MaybeRepartition. Every mid-storm
+// answer is structurally checked, the final state must equal a serial
+// replay, and a deterministic post-storm phase proves the split machinery
+// actually fired. Under TSan this exercises the map-gate swap protocol end to end.
 TEST_P(ConcurrencyStressTest, RepartitionStormEqualsSerialReplay) {
   struct RecordedInsert {
     std::vector<Value> values;
@@ -415,14 +414,12 @@ TEST_P(ConcurrencyStressTest, RepartitionStormEqualsSerialReplay) {
   spec.domain_hi = kDomain;
   AdaptiveConfig adaptive;
   adaptive.enabled = true;
-  adaptive.trigger_interval = 64;
   adaptive.min_accesses = 16;
   adaptive.hot_share = 0.30;
   adaptive.cold_share = 0.05;
   adaptive.min_partition_rows = 64;
   adaptive.max_partitions = 12;
   adaptive.cooldown_ticks = 0;
-  adaptive.sketch_capacity = 32;
   db.RegisterSharded("R", mirror, spec, GetParam(), adaptive);
 
   std::vector<std::vector<RecordedInsert>> recorded(kThreads);
@@ -478,8 +475,8 @@ TEST_P(ConcurrencyStressTest, RepartitionStormEqualsSerialReplay) {
       }
     });
   }
-  // A dedicated ticker thread on top of the background trigger: manual
-  // and automatic ticks contend for the same in-flight slot.
+  // A dedicated ticker thread: its ticks run concurrently with every
+  // client's reads and writes.
   std::thread ticker([&] {
     while (storming.load(std::memory_order_acquire)) {
       (void)db.MaybeRepartition("R");

@@ -59,7 +59,7 @@ TEST_F(PartialMapTest, CreateChunkCopiesAreaWithTailValues) {
               b[static_cast<Key>(area.store.tail[i])]);
   }
   EXPECT_EQ(chunk.cursor, area.tape.size());
-  EXPECT_TRUE(map_->HasChunk(area.start));
+  EXPECT_NE(map_->FindChunk(area.start), nullptr);
 }
 
 TEST_F(PartialMapTest, SiblingChunksAlignAfterCracks) {
@@ -183,7 +183,7 @@ TEST_F(PartialMapTest, DropChunkForgetsChunkOnly) {
   map_->CreateChunk(area);
   EXPECT_EQ(map_->StorageHalfTuples(), 2 * area.size());
   map_->DropChunk(area.start);
-  EXPECT_FALSE(map_->HasChunk(area.start));
+  EXPECT_EQ(map_->FindChunk(area.start), nullptr);
   EXPECT_EQ(map_->StorageHalfTuples(), 0u);
 }
 
