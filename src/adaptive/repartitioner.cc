@@ -1,27 +1,19 @@
 #include "adaptive/repartitioner.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <shared_mutex>
 #include <utility>
 
+#include "common/die.h"
+
 namespace crackdb {
-
-namespace {
-
-[[noreturn]] void Die(const char* what, const std::string& detail) {
-  std::fprintf(stderr, "repartitioner: %s: %s\n", what, detail.c_str());
-  std::abort();
-}
-
-}  // namespace
 
 Repartitioner::Repartitioner(Hooks hooks) : hooks_(std::move(hooks)) {
   if (hooks_.relation == nullptr || hooks_.engine == nullptr ||
       !hooks_.create_relation) {
-    Die("incomplete hooks", "relation/engine/create_relation are required");
+    Die("repartitioner", "incomplete hooks",
+        "relation/engine/create_relation are required");
   }
 }
 
@@ -88,7 +80,9 @@ std::vector<std::unique_ptr<Engine>> Repartitioner::BuildEngines(
   std::vector<std::unique_ptr<Engine>> engines(shards.size());
   auto build = [&](size_t j) {
     engines[j] = factory(*shards[j]);
-    if (engines[j] == nullptr) Die("factory returned null", shards[j]->name());
+    if (engines[j] == nullptr) {
+      Die("repartitioner", "factory returned null", shards[j]->name());
+    }
   };
   // Construct each engine on its future home worker (the affinity key the
   // sharded scheduler will use), so presort/index state is born

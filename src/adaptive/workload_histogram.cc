@@ -8,13 +8,9 @@ WorkloadHistogram::WorkloadHistogram(size_t num_partitions) {
   Reset(num_partitions);
 }
 
-void WorkloadHistogram::RecordAccess(size_t p, size_t sub_queries,
-                                     double micros) {
+void WorkloadHistogram::RecordAccess(size_t p, size_t sub_queries) {
   if (p >= cells_.size()) return;
-  Cell& cell = *cells_[p];
-  cell.accesses.fetch_add(sub_queries, std::memory_order_relaxed);
-  cell.micros.fetch_add(static_cast<uint64_t>(std::max(0.0, micros)),
-                        std::memory_order_relaxed);
+  cells_[p]->accesses.fetch_add(sub_queries, std::memory_order_relaxed);
 }
 
 void WorkloadHistogram::RecordBoundary(size_t p, Value boundary) {
@@ -37,8 +33,6 @@ WorkloadHistogram::Snapshot WorkloadHistogram::Snap(
     Cell& cell = *cells_[p];
     PartitionSnapshot& out = snap.partitions[p];
     out.accesses = cell.accesses.load(std::memory_order_relaxed);
-    out.micros =
-        static_cast<double>(cell.micros.load(std::memory_order_relaxed));
     if (with_boundaries) {
       std::lock_guard<std::mutex> lock(cell.sketch_mu);
       out.boundaries = cell.ring;
@@ -56,9 +50,6 @@ void WorkloadHistogram::Decay(double factor) {
     const uint64_t a = cell->accesses.load(std::memory_order_relaxed);
     cell->accesses.store(static_cast<uint64_t>(static_cast<double>(a) * factor),
                          std::memory_order_relaxed);
-    const uint64_t m = cell->micros.load(std::memory_order_relaxed);
-    cell->micros.store(static_cast<uint64_t>(static_cast<double>(m) * factor),
-                       std::memory_order_relaxed);
   }
 }
 

@@ -12,12 +12,13 @@
 namespace crackdb {
 
 /// Per-partition view of the workload the serving layer has actually seen:
-/// access and latency counters plus a bounded ring of predicate boundaries
+/// an access counter plus a bounded ring of predicate boundaries
 /// on the organizing attribute — the split-point candidates the
 /// RepartitionPolicy chooses from. This is the "self-organizing" sensor of
 /// the adaptive subsystem: it is fed from ShardedEngine::ExecuteBatch (one
 /// RecordAccess per partition group, one RecordBoundary per organizing
-/// selection), so the cost per query is a couple of relaxed atomic adds.
+/// selection), so the cost per query is one relaxed atomic add per
+/// partition group plus the boundary ring writes.
 ///
 /// Concurrency contract: RecordAccess/RecordBoundary are called by query
 /// threads holding the partition map gate *shared*; Reset (which resizes
@@ -34,9 +35,8 @@ class WorkloadHistogram {
 
   size_t num_partitions() const { return cells_.size(); }
 
-  /// Charges `sub_queries` accesses and `micros` of partition-local work
-  /// to partition `p`.
-  void RecordAccess(size_t p, size_t sub_queries, double micros);
+  /// Charges `sub_queries` accesses to partition `p`.
+  void RecordAccess(size_t p, size_t sub_queries);
 
   /// Records `boundary` (the first value of a would-be right slice) as a
   /// split-point candidate for partition `p`. Bounded: the newest
@@ -45,7 +45,6 @@ class WorkloadHistogram {
 
   struct PartitionSnapshot {
     uint64_t accesses = 0;
-    double micros = 0;
     std::vector<Value> boundaries;  // unordered recent sample
   };
   struct Snapshot {
@@ -56,7 +55,7 @@ class WorkloadHistogram {
   /// per-cell mutexes) — for counter-only consumers like Stats.
   Snapshot Snap(bool with_boundaries = true) const;
 
-  /// Ages the access/latency counters by `factor` in [0, 1] (recency
+  /// Ages the access counters by `factor` in [0, 1] (recency
   /// weighting between ticks). Boundary samples are kept — they are
   /// already bounded and newest-wins.
   void Decay(double factor);
@@ -70,7 +69,6 @@ class WorkloadHistogram {
   /// copyable, and Reset rebuilds the vector.
   struct Cell {
     std::atomic<uint64_t> accesses{0};
-    std::atomic<uint64_t> micros{0};  // accumulated whole microseconds
     std::mutex sketch_mu;
     std::vector<Value> ring;
     size_t ring_next = 0;

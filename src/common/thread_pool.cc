@@ -15,8 +15,6 @@ thread_local const ThreadPool* tls_worker_pool = nullptr;
 
 /// Registry handles resolved once per process (docs/OBSERVABILITY.md).
 struct PoolMetrics {
-  obs::Counter& tasks =
-      obs::MetricsRegistry::Global().GetCounter("pool_tasks_total");
   obs::Counter& steals =
       obs::MetricsRegistry::Global().GetCounter("pool_steals_total");
   obs::Counter& inline_tasks =
@@ -163,7 +161,6 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       Metrics().queue_depth.Set(static_cast<double>(pending_));
     }
     if (obs::MetricsEnabled()) {
-      Metrics().tasks.Add();
       if (stolen) Metrics().steals.Add();
       worker_tasks_[worker_index]->Add();
       Metrics().task_wait.Observe(

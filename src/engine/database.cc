@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "adaptive/repartitioner.h"
+#include "common/die.h"
 #include "common/timer.h"
 #include "engine/plain_engine.h"
 #include "obs/metrics.h"
@@ -16,11 +15,6 @@
 namespace crackdb {
 
 namespace {
-
-[[noreturn]] void Die(const char* what, const std::string& detail) {
-  std::fprintf(stderr, "database: %s: %s\n", what, detail.c_str());
-  std::abort();
-}
 
 /// Registry handles resolved once per process (docs/OBSERVABILITY.md).
 struct DbMetrics {
@@ -30,18 +24,10 @@ struct DbMetrics {
       obs::MetricsRegistry::Global().GetCounter("db_query_errors_total");
   obs::Counter& system_queries =
       obs::MetricsRegistry::Global().GetCounter("db_system_queries_total");
-  obs::Counter& writes =
-      obs::MetricsRegistry::Global().GetCounter("db_writes_total");
-  obs::Counter& write_decompress =
-      obs::MetricsRegistry::Global().GetCounter("db_write_decompress_total");
   obs::Histogram& query_micros =
       obs::MetricsRegistry::Global().GetHistogram("db_query_micros");
   obs::Counter& ticks =
       obs::MetricsRegistry::Global().GetCounter("adaptive_ticks_total");
-  obs::Counter& splits =
-      obs::MetricsRegistry::Global().GetCounter("adaptive_splits_total");
-  obs::Counter& merges =
-      obs::MetricsRegistry::Global().GetCounter("adaptive_merges_total");
 };
 
 DbMetrics& Metrics() {
@@ -166,75 +152,6 @@ Expected<size_t> Database::RegisterSharded(const std::string& table,
   tables_.emplace(table, std::move(entry));
   return partitions;
 }
-
-namespace {
-
-/// Re-applies the builder's terminal compile step to a Query, so
-/// hand-built Query aggregates (the struct is public) get the same
-/// projection pushdown and terminal validation as Build() output —
-/// idempotent on already-compiled queries. Returns "" or the failure.
-std::string NormalizeTerminal(Query& q) {
-  switch (q.consume.kind) {
-    case ConsumeKind::kCount:
-      q.spec.projections.clear();
-      break;
-    case ConsumeKind::kAggregate:
-      if (q.consume.attr.empty()) return "Aggregate() requires an attribute";
-      if (q.consume.op == AggregateOp::kCount) {
-        return "Aggregate(kCount) is grouped-only; use Count() for a scalar "
-               "cardinality query or GroupBy().Aggregate(kCount, ...) for "
-               "per-group counts";
-      }
-      q.spec.projections = {q.consume.attr};
-      break;
-    case ConsumeKind::kGroupBy: {
-      if (q.consume.group_attr.empty()) {
-        return "GroupBy() requires an attribute";
-      }
-      if (q.consume.group_aggs.empty()) {
-        return "GroupBy() requires at least one Aggregate()";
-      }
-      for (const GroupAggregate& agg : q.consume.group_aggs) {
-        if (agg.attr.empty()) return "Aggregate() requires an attribute";
-        if (agg.attr == q.consume.group_attr) {
-          return "aggregate attribute '" + agg.attr +
-                 "' duplicates the group key; the key (and per-group counts "
-                 "via kCount) are returned without folding it";
-        }
-      }
-      std::vector<std::string> pushdown = {q.consume.group_attr};
-      for (const GroupAggregate& agg : q.consume.group_aggs) {
-        if (agg.op == AggregateOp::kCount) continue;
-        if (std::find(pushdown.begin(), pushdown.end(), agg.attr) ==
-            pushdown.end()) {
-          pushdown.push_back(agg.attr);
-        }
-      }
-      if (!q.spec.projections.empty() && q.spec.projections != pushdown) {
-        return "Project('" + q.spec.projections.front() +
-               "', ...) conflicts with GroupBy(): a grouped query returns "
-               "the group key and aggregate columns only (remove Project())";
-      }
-      q.spec.projections = std::move(pushdown);
-      break;
-    }
-    case ConsumeKind::kForEach:
-      if (!q.consume.visitor) return "ForEach() requires a visitor";
-      if (q.spec.projections.empty()) {
-        return "ForEach() requires at least one projected attribute";
-      }
-      break;
-    case ConsumeKind::kMaterialize:
-      if (q.spec.projections.empty()) {
-        return "Materialize() requires at least one projected attribute "
-               "(use Count() for a projection-free cardinality query)";
-      }
-      break;
-  }
-  return "";
-}
-
-}  // namespace
 
 std::string Database::ValidateQuery(std::span<const std::string> columns,
                                     const Query& q) {
@@ -404,7 +321,7 @@ Expected<Database::Admitted> Database::Admit(Query& query) {
       columns = admitted.table->columns;
     }
   }
-  if (invalid.empty()) invalid = NormalizeTerminal(query);
+  if (invalid.empty()) invalid = CompileTerminal(query);
   if (invalid.empty()) invalid = ValidateQuery(columns, query);
   if (!invalid.empty()) {
     Metrics().query_errors.Add();
@@ -640,7 +557,6 @@ void Database::ApplyViews(Table& t, std::span<const WriteView> ops,
       if (part.compressed()) {
         part.Decompress();
         t.decompressions.fetch_add(1, std::memory_order_relaxed);
-        Metrics().write_decompress.Add();
       }
     }
     if (op.kind == WriteOp::Kind::kInsert) {
@@ -653,9 +569,6 @@ void Database::ApplyViews(Table& t, std::span<const WriteView> ops,
   }
   if (inserts > 0) t.inserts.fetch_add(inserts, std::memory_order_relaxed);
   if (deletes > 0) t.deletes.fetch_add(deletes, std::memory_order_relaxed);
-  if (inserts + deletes > 0) {
-    Metrics().writes.Add(static_cast<double>(inserts + deletes));
-  }
 }
 
 std::vector<WriteOutcome> Database::ApplyBatch(const std::string& table,
@@ -751,13 +664,8 @@ bool Database::RunTick(Table& t) {
   Repartitioner repartitioner(std::move(hooks));
   if (!repartitioner.Execute(decision)) return false;
   t.policy->NoteExecuted(decision);
-  if (decision.kind == RepartitionDecision::Kind::kSplit) {
-    t.splits.fetch_add(1, std::memory_order_relaxed);
-    Metrics().splits.Add();
-  } else {
-    t.merges.fetch_add(1, std::memory_order_relaxed);
-    Metrics().merges.Add();
-  }
+  (decision.kind == RepartitionDecision::Kind::kSplit ? t.splits : t.merges)
+      .fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -795,7 +703,6 @@ TableStats Database::Stats(const std::string& table) const {
       }
       if (i < hist.partitions.size()) {
         ps.accesses = hist.partitions[i].accesses;
-        ps.access_micros = hist.partitions[i].micros;
       }
       stats.rows += ps.rows;
       stats.live_rows += ps.live_rows;
@@ -838,7 +745,7 @@ PartitionedRelation& Database::partitions(const std::string& table) {
 
 Database::Table& Database::FindTable(const std::string& table) const {
   Table* t = FindTableOrNull(table);
-  if (t == nullptr) Die("unknown table", table);
+  if (t == nullptr) Die("database", "unknown table", table);
   return *t;
 }
 

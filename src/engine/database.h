@@ -75,7 +75,8 @@ struct WriteOutcome {
 /// One partition's slice of a TableStats snapshot: tuple counts plus —
 /// when adaptive repartitioning is enabled — the workload histogram's view
 /// of the partition, so benches and tests can observe skew (and watch a
-/// hot partition split) without poking internals.
+/// hot partition split) without poking internals. system.partitions is a
+/// row per PartitionStats; nothing else counts per-partition traffic.
 struct PartitionStats {
   size_t rows = 0;
   size_t live_rows = 0;
@@ -83,10 +84,9 @@ struct PartitionStats {
   /// Range sharding: the domain values this slice covers.
   Value cover_lo = 0;
   Value cover_hi = 0;
-  /// Workload histogram counters (zero when adaptivity is off): decayed
-  /// access count and partition-local execution micros.
+  /// The workload histogram's decayed access count (zero when adaptivity
+  /// is off); reset to zero for the partitions a split or merge creates.
   uint64_t accesses = 0;
-  double access_micros = 0;
   /// This partition's engine kind and physical layout: "raw", or the
   /// distinct codecs of its compressed columns ("for", "rle+dict", ...),
   /// plus the bytes its columns occupy in that layout.
@@ -100,7 +100,10 @@ struct PartitionStats {
 /// visited one at a time, though, so under live traffic the totals (and
 /// the op counters, which are read without locks) are not one global
 /// atomic snapshot — `rows == initial + inserts` holds exactly only in
-/// quiescence.
+/// quiescence. Every op counter below reads the one place its event is
+/// counted (the table's atomics or its ShardedEngine); system.tables is a
+/// row per TableStats, and the registry keeps no copy of these
+/// (docs/OBSERVABILITY.md).
 struct TableStats {
   std::string engine;
   size_t partitions = 0;
@@ -375,10 +378,10 @@ class Database {
 
   /// The admission step shared by Execute, ExecuteBatch, and ExecuteAsync,
   /// applied to `query` in place: the builder's recorded error, the table
-  /// (or system.* schema) lookup, the terminal normalization
-  /// (NormalizeTerminal in database.cc re-applies the builder's compile
-  /// step, so hand-built Query structs are as safe as Build() output), and
-  /// the attribute-name check. Counts every rejection.
+  /// (or system.* schema) lookup, the terminal compile step
+  /// (CompileTerminal, re-run so hand-built Query structs are as safe as
+  /// Build() output), and the attribute-name check. Counts every
+  /// rejection.
   Expected<Admitted> Admit(Query& query);
 
   /// "" when every attribute `q` references is in `columns` (the table's

@@ -1,16 +1,12 @@
 #include "engine/query.h"
 
-#include <cstdio>
-#include <cstdlib>
-
+#include "common/die.h"
 #include "engine/database.h"
 
 namespace crackdb {
 
 [[noreturn]] void DieOnErrorAccess(const std::string& error) {
-  std::fprintf(stderr, "query: value() called on an error result: %s\n",
-               error.c_str());
-  std::abort();
+  Die("query", "value() called on an error result", error);
 }
 
 std::string ExecuteResult::Explain() const {
@@ -57,61 +53,47 @@ void QueryBuilder::AddProjection(std::string attr) {
   q_.spec.projections.push_back(std::move(attr));
 }
 
-Query QueryBuilder::Build() {
-  switch (q_.consume.kind) {
+std::string CompileTerminal(Query& q) {
+  switch (q.consume.kind) {
     case ConsumeKind::kCount:
       // The pushdown: a count touches no attribute at all, so the
       // compiled spec declares none — chunk-wise engines then skip their
       // per-chunk materialization entirely.
-      q_.spec.projections.clear();
+      q.spec.projections.clear();
       break;
     case ConsumeKind::kAggregate:
-      if (q_.consume.attr.empty()) {
-        Fail("Aggregate() requires an attribute");
-        break;
-      }
-      if (q_.consume.op == AggregateOp::kCount) {
-        Fail("Aggregate(kCount) is grouped-only; use Count() for a scalar "
-             "cardinality query or GroupBy().Aggregate(kCount, ...) for "
-             "per-group counts");
-        break;
+      if (q.consume.attr.empty()) return "Aggregate() requires an attribute";
+      if (q.consume.op == AggregateOp::kCount) {
+        return "Aggregate(kCount) is grouped-only; use Count() for a scalar "
+               "cardinality query or GroupBy().Aggregate(kCount, ...) for "
+               "per-group counts";
       }
       // Declare exactly the folded attribute: engines whose handles serve
       // only declared projections (partial, sharded) can then fold it,
       // and nothing else is ever materialized. Terminals are last-call-
       // wins, so an earlier Project() list is simply superseded.
-      q_.spec.projections = {q_.consume.attr};
+      q.spec.projections = {q.consume.attr};
       break;
     case ConsumeKind::kGroupBy: {
-      if (q_.consume.group_attr.empty()) {
-        Fail("GroupBy() requires an attribute");
-        break;
+      if (q.consume.group_attr.empty()) {
+        return "GroupBy() requires an attribute";
       }
-      if (q_.consume.group_aggs.empty()) {
-        Fail("GroupBy() requires at least one Aggregate()");
-        break;
+      if (q.consume.group_aggs.empty()) {
+        return "GroupBy() requires at least one Aggregate()";
       }
-      bool agg_error = false;
-      for (const GroupAggregate& agg : q_.consume.group_aggs) {
-        if (agg.attr.empty()) {
-          Fail("Aggregate() requires an attribute");
-          agg_error = true;
-          break;
-        }
-        if (agg.attr == q_.consume.group_attr) {
-          Fail("aggregate attribute '" + agg.attr +
-               "' duplicates the group key; the key (and per-group counts "
-               "via kCount) are returned without folding it");
-          agg_error = true;
-          break;
+      for (const GroupAggregate& agg : q.consume.group_aggs) {
+        if (agg.attr.empty()) return "Aggregate() requires an attribute";
+        if (agg.attr == q.consume.group_attr) {
+          return "aggregate attribute '" + agg.attr +
+                 "' duplicates the group key; the key (and per-group counts "
+                 "via kCount) are returned without folding it";
         }
       }
-      if (agg_error) break;
       // The pushdown: declare the group key plus every *folded* attribute
       // (kCount fetches no values), deduplicated — engines whose handles
       // serve only declared projections then fold exactly these columns.
-      std::vector<std::string> pushdown = {q_.consume.group_attr};
-      for (const GroupAggregate& agg : q_.consume.group_aggs) {
+      std::vector<std::string> pushdown = {q.consume.group_attr};
+      for (const GroupAggregate& agg : q.consume.group_aggs) {
         if (agg.op == AggregateOp::kCount) continue;
         if (std::find(pushdown.begin(), pushdown.end(), agg.attr) ==
             pushdown.end()) {
@@ -120,40 +102,39 @@ Query QueryBuilder::Build() {
       }
       // An explicit Project() list would be silently replaced by the
       // pushdown — reject it (unless it *is* the pushdown, which keeps
-      // re-normalizing an already-built query idempotent).
-      if (!q_.spec.projections.empty() && q_.spec.projections != pushdown) {
-        Fail("Project('" + q_.spec.projections.front() +
-             "', ...) conflicts with GroupBy(): a grouped query returns "
-             "the group key and aggregate columns only (remove Project())");
-        break;
+      // re-compiling an already-built query idempotent).
+      if (!q.spec.projections.empty() && q.spec.projections != pushdown) {
+        return "Project('" + q.spec.projections.front() +
+               "', ...) conflicts with GroupBy(): a grouped query returns "
+               "the group key and aggregate columns only (remove Project())";
       }
-      q_.spec.projections = std::move(pushdown);
+      q.spec.projections = std::move(pushdown);
       break;
     }
     case ConsumeKind::kForEach:
-      if (!q_.consume.visitor) {
-        Fail("ForEach() requires a visitor");
-      } else if (q_.spec.projections.empty()) {
-        Fail("ForEach() requires at least one projected attribute");
+      if (!q.consume.visitor) return "ForEach() requires a visitor";
+      if (q.spec.projections.empty()) {
+        return "ForEach() requires at least one projected attribute";
       }
       break;
     case ConsumeKind::kMaterialize:
-      if (q_.spec.projections.empty()) {
-        Fail("Materialize() requires at least one projected attribute "
-             "(use Count() for a projection-free cardinality query)");
+      if (q.spec.projections.empty()) {
+        return "Materialize() requires at least one projected attribute "
+               "(use Count() for a projection-free cardinality query)";
       }
       break;
   }
+  return "";
+}
+
+Query QueryBuilder::Build() {
+  Fail(CompileTerminal(q_));
   return std::move(q_);
 }
 
 QuerySpec QueryBuilder::Spec() {
   Query q = Build();
-  if (!q.error.empty()) {
-    std::fprintf(stderr, "query builder: invalid query: %s\n",
-                 q.error.c_str());
-    std::abort();
-  }
+  if (!q.error.empty()) Die("query builder", "invalid query", q.error);
   return std::move(q.spec);
 }
 

@@ -304,6 +304,15 @@ struct Query {
   bool trace = false;
 };
 
+/// The terminal compile step, shared by QueryBuilder::Build and
+/// Database::Execute (which re-runs it on hand-built Queries): applies the
+/// terminal's projection pushdown (Count() declares no projections —
+/// chunk-wise engines then materialize nothing; Aggregate() declares
+/// exactly its folded attribute; GroupBy() the key plus every folded
+/// attribute) and runs the terminal validations. Idempotent on an already
+/// compiled query. Returns "" or the first failure; `q.error` is untouched.
+std::string CompileTerminal(Query& q);
+
 /// Fluent builder over QuerySpec + ConsumeSpec:
 ///
 ///   db.From("t").Where("a", lo, hi).Project("b", "c").Execute();
@@ -414,10 +423,8 @@ class QueryBuilder {
   /// First validation error recorded so far ("" = none).
   const std::string& error() const { return q_.error; }
 
-  /// Compiles the builder into a Query: applies the terminal's projection
-  /// pushdown (Count() drops the declared projections entirely —
-  /// chunk-wise engines then materialize nothing; Aggregate() declares
-  /// exactly its folded attribute) and runs the terminal validations.
+  /// Compiles the builder into a Query through CompileTerminal; its
+  /// failure is recorded like any other (the first error wins).
   /// Consumes the builder (like Spec and Execute): the fluent chain ends
   /// here, the builder must not be reused afterwards.
   Query Build();
@@ -434,7 +441,7 @@ class QueryBuilder {
   void AddSelection(std::string attr, RangePredicate pred, bool disjunct);
   void AddProjection(std::string attr);
   /// Records the first validation error; later ones are dropped (the
-  /// first is almost always the root cause).
+  /// first is almost always the root cause). "" records nothing.
   void Fail(std::string message);
 
   Query q_;

@@ -1,10 +1,10 @@
 #include "engine/sharded_engine.h"
 
 #include <iterator>
-#include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <shared_mutex>
 
+#include "common/die.h"
 #include "common/timer.h"
 #include "engine/group_table.h"
 #include "kernels/kernels.h"
@@ -13,11 +13,6 @@
 namespace crackdb {
 
 namespace {
-
-[[noreturn]] void Die(const char* what, const std::string& detail) {
-  std::fprintf(stderr, "sharded engine: %s: %s\n", what, detail.c_str());
-  std::abort();
-}
 
 /// Registry handles resolved once per process. The micros totals mirror
 /// the per-query CostBreakdown attribution exactly (the concurrency storm
@@ -42,9 +37,9 @@ struct EngineMetrics {
   obs::Counter& prepare_micros =
       reg.GetCounter("engine_prepare_micros_total");
   obs::Counter& merge_micros = reg.GetCounter("engine_merge_micros_total");
+  /// Also counted by encoded_queries_; crackbench reads this series by
+  /// name, so it stays until crackbench reads Database::Stats() instead.
   obs::Counter& encoded = reg.GetCounter("engine_encoded_subqueries_total");
-  obs::Counter& decompress =
-      reg.GetCounter("engine_crack_decompress_total");
   obs::Histogram& group_micros = reg.GetHistogram("engine_group_micros");
 };
 
@@ -143,26 +138,13 @@ void ServeEncoded(const Relation& part, const QuerySpec& spec,
 ShardedEngine::ShardedEngine(const PartitionedRelation& relation,
                              EngineFactory factory, ThreadPool* pool)
     : relation_(&relation), factory_(std::move(factory)), pool_(pool) {
-  if (!factory_) Die("null engine factory", relation.name());
+  if (!factory_) Die("sharded engine", "null engine factory", relation.name());
   engines_.reserve(relation.num_partitions());
   for (size_t i = 0; i < relation.num_partitions(); ++i) {
     engines_.push_back(factory_(relation.partition(i)));
     if (engines_.back() == nullptr) {
-      Die("factory returned null", relation.name());
+      Die("sharded engine", "factory returned null", relation.name());
     }
-  }
-  RefreshPartitionCounters();
-}
-
-void ShardedEngine::RefreshPartitionCounters() {
-  partition_counters_.clear();
-  partition_counters_.reserve(engines_.size());
-  const std::string family =
-      obs::WithLabel("engine_partition_subqueries_total", "table",
-                     relation_->name());
-  for (size_t i = 0; i < engines_.size(); ++i) {
-    partition_counters_.push_back(&obs::MetricsRegistry::Global().GetCounter(
-        obs::WithLabel(family, "partition", static_cast<int64_t>(i))));
   }
 }
 
@@ -224,7 +206,7 @@ size_t ShardedEngine::HomePartition(const QuerySpec& spec) const {
 void ShardedEngine::SpliceEngines(size_t first, size_t removed,
                                   std::vector<std::unique_ptr<Engine>> added) {
   if (removed == 0 || first + removed > engines_.size() || added.empty()) {
-    Die("engine splice out of bounds", relation_->name());
+    Die("sharded engine", "engine splice out of bounds", relation_->name());
   }
   const auto begin = static_cast<std::ptrdiff_t>(first);
   const auto end = static_cast<std::ptrdiff_t>(first + removed);
@@ -234,9 +216,6 @@ void ShardedEngine::SpliceEngines(size_t first, size_t removed,
   engines_.insert(engines_.begin() + begin,
                   std::make_move_iterator(added.begin()),
                   std::make_move_iterator(added.end()));
-  // Partition indexes shifted: re-key the per-partition counter family.
-  // Safe here — the exclusively-held map gate excludes every run_group.
-  RefreshPartitionCounters();
 }
 
 ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
@@ -291,7 +270,9 @@ ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
 
   auto run_group = [&](size_t a) {
     const size_t p = active[a];
-    Timer group_timer;
+    // Only sampled batches read the group clock (engine_group_micros).
+    std::optional<Timer> group_timer;
+    if (sample_groups) group_timer.emplace();
     // Open one partition span per traced spec in this group before the
     // lock: it parents the queue_wait / lock_wait / kernel child spans
     // and is closed (duration re-stamped) when the group finishes.
@@ -380,7 +361,6 @@ ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
         Timer decompress_timer;
         part.Decompress();
         crack_decompressions_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().decompress.Add();
         if (tr != nullptr) {
           tr->AddSpan(part_span, static_cast<int32_t>(p), "decompress", t0,
                       decompress_timer.ElapsedMicros());
@@ -467,16 +447,11 @@ ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
                               st.trace->NowMicros() - st.span_start);
       }
     }
-    // One shared clock read serves both consumers of the group latency —
-    // the sampled registry histogram and the adaptive sensor.
-    if (sample_groups || histogram_ != nullptr) {
-      const double group_elapsed = group_timer.ElapsedMicros();
-      if (sample_groups) Metrics().group_micros.Observe(group_elapsed);
-      if (histogram_ != nullptr) {
-        histogram_->RecordAccess(p, groups[p].size(), group_elapsed);
-      }
+    if (group_timer) {
+      Metrics().group_micros.Observe(group_timer->ElapsedMicros());
     }
     if (histogram_ != nullptr) {
+      histogram_->RecordAccess(p, groups[p].size());
       const std::string& organizing = relation_->spec().column;
       for (const SubQuery& sub : groups[p]) {
         for (const QuerySpec::Selection& sel :
@@ -550,9 +525,6 @@ ShardedEngine::BatchOutput ShardedEngine::ExecuteBatch(
   m.select_micros.Add(sum.select_micros);
   m.reconstruct_micros.Add(sum.reconstruct_micros);
   m.prepare_micros.Add(sum.prepare_micros);
-  for (size_t p : active) {
-    partition_counters_[p]->Add(static_cast<double>(groups[p].size()));
-  }
   return BatchOutput{std::move(results), engines_.size()};
 }
 

@@ -108,7 +108,7 @@ class ShardedEngine {
   std::vector<size_t> TargetPartitions(const QuerySpec& spec) const;
 
   /// Points the execution path at a workload histogram: each partition
-  /// group then charges its accesses/latency (and the organizing
+  /// group then charges its accesses (and the organizing
   /// predicate boundaries, the split-point candidates) to it. Null
   /// detaches. Set at registration time, before traffic.
   void SetHistogram(WorkloadHistogram* histogram) { histogram_ = histogram; }
@@ -184,16 +184,9 @@ class ShardedEngine {
                              std::vector<ShardResult> shards,
                              obs::QueryTrace* trace, size_t num_partitions);
 
-  /// Rebuilds the per-partition registry counter family
-  /// (`engine_partition_subqueries_total{table=...,partition=...}`) to
-  /// match engines_.size(). Constructor, and SpliceEngines under the
-  /// exclusively-held map gate (readers hold it shared).
-  void RefreshPartitionCounters();
-
   const PartitionedRelation* relation_;
   EngineFactory factory_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  std::vector<obs::Counter*> partition_counters_;
   ThreadPool* pool_;
   WorkloadHistogram* histogram_ = nullptr;
   /// Written on every batch, so kept off the cache line of the read-mostly

@@ -7,9 +7,9 @@
 // lifetime.
 //
 // Families (per-partition, per-worker, ...) are just label-suffixed names:
-// `WithLabel("pool_tasks_total", "worker", 3)` yields
-// `pool_tasks_total{worker="3"}`. Callers that need a dense family cache a
-// vector of pointers at construction time (see ThreadPool).
+// `WithLabel("pool_worker_tasks_total", "worker", 3)` yields
+// `pool_worker_tasks_total{worker="3"}`. Callers that need a dense family
+// cache a vector of pointers at construction time (see ThreadPool).
 //
 // docs/OBSERVABILITY.md carries the full metric inventory and the
 // overhead contract; bench_observability enforces the latter.

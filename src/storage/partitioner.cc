@@ -1,17 +1,12 @@
 #include "storage/partitioner.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+
+#include "common/die.h"
 
 namespace crackdb {
 
 namespace {
-
-[[noreturn]] void Die(const char* what, const std::string& detail) {
-  std::fprintf(stderr, "partitioner: %s: %s\n", what, detail.c_str());
-  std::abort();
-}
 
 /// splitmix64 finalizer: full-avalanche mixing so that dense integer
 /// domains (the common case here) still spread across partitions.
@@ -49,14 +44,15 @@ PartitionedRelation::PartitionedRelation(std::string name, PartitionSpec spec,
       partitions_(std::move(partitions)),
       organizing_ordinal_(organizing_ordinal),
       next_partition_id_(partitions_.size()) {
-  if (partitions_.empty()) Die("no partitions", name_);
+  if (partitions_.empty()) Die("partitioner", "no partitions", name_);
   mutexes_.reserve(partitions_.size());
   for (size_t i = 0; i < partitions_.size(); ++i) {
     mutexes_.push_back(std::make_unique<MutexBox>());
   }
   if (spec_.kind == PartitionSpec::Kind::kRange) {
     if (spec_.domain_lo > spec_.domain_hi) {
-      Die("range partitioning needs domain_lo <= domain_hi", name_);
+      Die("partitioner", "range partitioning needs domain_lo <= domain_hi",
+          name_);
     }
     const size_t n = partitions_.size();
     // Even split of [lo, hi] into n slices; the first `remainder` slices
@@ -169,14 +165,14 @@ size_t PartitionedRelation::num_live_rows() const {
 
 Value PartitionedRelation::SliceCoverLo(size_t i) const {
   if (spec_.kind != PartitionSpec::Kind::kRange) {
-    Die("slice cover of a hash partition", name_);
+    Die("partitioner", "slice cover of a hash partition", name_);
   }
   return slice_starts_[i];
 }
 
 Value PartitionedRelation::SliceCoverHi(size_t i) const {
   if (spec_.kind != PartitionSpec::Kind::kRange) {
-    Die("slice cover of a hash partition", name_);
+    Die("partitioner", "slice cover of a hash partition", name_);
   }
   if (i + 1 < slice_starts_.size() && slice_starts_[i + 1] <= spec_.domain_hi) {
     return slice_starts_[i + 1] - 1;
@@ -188,29 +184,37 @@ void PartitionedRelation::SpliceRange(
     size_t first, size_t removed, std::vector<Relation*> added,
     std::vector<Value> starts, const std::vector<std::vector<Location>>& remap) {
   if (spec_.kind != PartitionSpec::Kind::kRange) {
-    Die("splice of a hash partition map", name_);
+    Die("partitioner", "splice of a hash partition map", name_);
   }
   const size_t n = partitions_.size();
-  if (removed == 0 || first + removed > n) Die("splice range out of bounds",
-                                              name_);
+  if (removed == 0 || first + removed > n) {
+    Die("partitioner", "splice range out of bounds", name_);
+  }
   if (added.empty() || added.size() != starts.size() ||
       remap.size() != removed) {
-    Die("splice arity mismatch", name_);
+    Die("partitioner", "splice arity mismatch", name_);
   }
   // The added slices must tile exactly the cover of the removed ones:
   // same first start, strictly increasing, all reachable (<= domain_hi),
   // ending strictly before the next surviving slice.
-  if (starts.front() != slice_starts_[first]) Die("splice start moved", name_);
-  for (size_t j = 1; j < starts.size(); ++j) {
-    if (starts[j] <= starts[j - 1]) Die("splice starts not increasing", name_);
+  if (starts.front() != slice_starts_[first]) {
+    Die("partitioner", "splice start moved", name_);
   }
-  if (starts.back() > spec_.domain_hi) Die("splice start beyond domain", name_);
+  for (size_t j = 1; j < starts.size(); ++j) {
+    if (starts[j] <= starts[j - 1]) {
+      Die("partitioner", "splice starts not increasing", name_);
+    }
+  }
+  if (starts.back() > spec_.domain_hi) {
+    Die("partitioner", "splice start beyond domain", name_);
+  }
   if (first + removed < n && starts.back() >= slice_starts_[first + removed]) {
-    Die("splice overruns the next slice", name_);
+    Die("partitioner", "splice overruns the next slice", name_);
   }
   for (size_t j = 0; j < removed; ++j) {
     if (remap[j].size() != partitions_[first + j]->num_rows()) {
-      Die("splice remap does not cover the replaced partition", name_);
+      Die("partitioner", "splice remap does not cover the replaced partition",
+          name_);
     }
   }
 
@@ -273,7 +277,7 @@ PartitionedRelation Partitioner::Partition(Catalog* catalog,
                                            const Relation& source,
                                            const PartitionSpec& spec) {
   const std::string invalid = Validate(*catalog, source, spec);
-  if (!invalid.empty()) Die("invalid partitioning", invalid);
+  if (!invalid.empty()) Die("partitioner", "invalid partitioning", invalid);
   const size_t organizing = source.ColumnOrdinal(spec.column);
 
   std::vector<Relation*> partitions;

@@ -1,21 +1,18 @@
 #include "storage/relation.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
+
+#include "common/die.h"
 
 namespace crackdb {
 
-namespace {
-[[noreturn]] void Die(const char* what, const std::string& detail) {
-  std::fprintf(stderr, "crackdb: %s: %s\n", what, detail.c_str());
-  std::abort();
-}
-}  // namespace
-
 Column& Relation::AddColumn(const std::string& column_name) {
-  if (num_rows_ != 0) Die("AddColumn after rows were inserted", column_name);
-  if (ordinals_.count(column_name) != 0) Die("duplicate column", column_name);
+  if (num_rows_ != 0) {
+    Die("crackdb", "AddColumn after rows were inserted", column_name);
+  }
+  if (ordinals_.count(column_name) != 0) {
+    Die("crackdb", "duplicate column", column_name);
+  }
   ordinals_[column_name] = columns_.size();
   names_.push_back(column_name);
   columns_.push_back(std::make_unique<Column>(column_name));
@@ -24,13 +21,17 @@ Column& Relation::AddColumn(const std::string& column_name) {
 
 Column& Relation::column(const std::string& column_name) {
   auto it = ordinals_.find(column_name);
-  if (it == ordinals_.end()) Die("unknown column", name_ + "." + column_name);
+  if (it == ordinals_.end()) {
+    Die("crackdb", "unknown column", name_ + "." + column_name);
+  }
   return *columns_[it->second];
 }
 
 const Column& Relation::column(const std::string& column_name) const {
   auto it = ordinals_.find(column_name);
-  if (it == ordinals_.end()) Die("unknown column", name_ + "." + column_name);
+  if (it == ordinals_.end()) {
+    Die("crackdb", "unknown column", name_ + "." + column_name);
+  }
   return *columns_[it->second];
 }
 
@@ -40,7 +41,9 @@ bool Relation::HasColumn(const std::string& column_name) const {
 
 size_t Relation::ColumnOrdinal(const std::string& column_name) const {
   auto it = ordinals_.find(column_name);
-  if (it == ordinals_.end()) Die("unknown column", name_ + "." + column_name);
+  if (it == ordinals_.end()) {
+    Die("crackdb", "unknown column", name_ + "." + column_name);
+  }
   return it->second;
 }
 

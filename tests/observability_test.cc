@@ -11,6 +11,9 @@
 //    same validated-attribute Expected errors as user tables;
 //  - the registry is exact the moment a query returns, with no sync
 //    point, and agrees with the summed per-query CostBreakdowns;
+//  - system.tables, system.partitions and the registry read the same
+//    counts as Stats(), and the registry holds exactly the metrics
+//    docs/OBSERVABILITY.md lists;
 //  - SystemName decodes issued ids and errors on any other;
 //  - the metrics kill switch really silences the per-query epilogue.
 
@@ -19,9 +22,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -416,19 +422,7 @@ TEST_F(ObservabilityTest, RegistryIsExactWithoutASyncPoint) {
   auto db = MakeDb();
   // Deltas, not absolutes: the registry is process-global. Read straight
   // off the registry — no system.metrics fill, no Stats, no flush.
-  // The per-partition family is keyed by table and partition index.
-  auto partition_subqueries = [] {
-    const std::string family = obs::WithLabel(
-        "engine_partition_subqueries_total", "table", "R");
-    double total = 0.0;
-    for (size_t p = 0; p < kPartitions; ++p) {
-      total += MetricValue(
-          obs::WithLabel(family, "partition", static_cast<int64_t>(p)));
-    }
-    return total;
-  };
   const double base_sub = MetricValue("engine_subqueries_total");
-  const double base_partition_sub = partition_subqueries();
   const double base_queries = MetricValue("db_queries_total");
   constexpr int kQueries = 10;
   size_t touched = 0;
@@ -442,9 +436,164 @@ TEST_F(ObservabilityTest, RegistryIsExactWithoutASyncPoint) {
   }
   EXPECT_EQ(MetricValue("engine_subqueries_total") - base_sub,
             static_cast<double>(touched));
-  EXPECT_EQ(partition_subqueries() - base_partition_sub,
-            static_cast<double>(touched));
   EXPECT_EQ(MetricValue("db_queries_total") - base_queries, kQueries);
+}
+
+TEST_F(ObservabilityTest, EveryViewReadsTheSameCount) {
+  // Each fact is counted in one place; system.tables, system.partitions
+  // and the registry read it from there. One Database, compressed on load
+  // and adaptive, so every kind of count moves: encoded sub-queries,
+  // crack-on-touch and write decompressions, inserts, deletes, a split and
+  // the histogram reset that goes with it.
+  AdaptiveConfig adaptive;
+  adaptive.enabled = true;
+  adaptive.min_accesses = 8;
+  adaptive.hot_share = 0.5;
+  adaptive.cold_share = 0.0;  // no merges: the split is the only action
+  adaptive.min_partition_rows = 256;
+  adaptive.cooldown_ticks = 0;
+  adaptive.compression.enabled = true;
+  adaptive.compression.compress_on_load = true;
+  DatabaseOptions options;
+  options.pool_threads = 0;
+  Database db(options);
+  ASSERT_TRUE(db.RegisterSharded("R", *source_, RangeShards(kPartitions),
+                                 "sideways", adaptive)
+                  .ok());
+  const TableStats loaded = db.Stats("R");
+  ASSERT_EQ(loaded.compressed_partitions, kPartitions);
+  const Value hot_hi = loaded.per_partition[0].cover_hi;
+  const PartitionStats& p1 = loaded.per_partition[1];
+  const PartitionStats& p2 = loaded.per_partition[2];
+
+  const double base_sub = MetricValue("engine_subqueries_total");
+  const double base_encoded = MetricValue("engine_encoded_subqueries_total");
+  size_t touched = 0;
+  auto run = [&touched](QueryBuilder builder) {
+    auto r = builder.Execute();
+    ASSERT_TRUE(r.ok()) << r.error();
+    touched += r->partitions_touched;
+  };
+  run(db.From("R").Where(AttrName(1), 1, kDomain).Count());
+  // Not encodable (it reconstructs a column): partition 1 cracks on touch.
+  run(db.From("R")
+          .Where(AttrName(1), p1.cover_lo, p1.cover_lo + 100)
+          .Project(AttrName(2)));
+  // An insert into compressed partition 2 decompresses it; two deletes.
+  const Value row[] = {p2.cover_lo, 1, 2, 3};
+  const Key inserted = db.Insert("R", row);
+  ASSERT_NE(inserted, kInvalidKey);
+  ASSERT_TRUE(db.Delete("R", inserted));
+  Key in_p1 = 0;
+  while (source_->column(0)[in_p1] < p1.cover_lo ||
+         source_->column(0)[in_p1] > p1.cover_hi) {
+    ++in_p1;
+  }
+  ASSERT_TRUE(db.Delete("R", in_p1));
+  // Encoded counts on partition 0, ticking until it splits; then traffic
+  // on the reset histogram.
+  bool split = false;
+  for (int round = 0; round < 8 && !split; ++round) {
+    for (Value q = 0; q < 16; ++q) {
+      run(db.From("R").Where(AttrName(1), 1 + q, hot_hi - q).Count());
+    }
+    split = db.MaybeRepartition("R");
+  }
+  ASSERT_TRUE(split);
+  run(db.From("R").Where(AttrName(1), 1, hot_hi).Count());
+
+  const TableStats stats = db.Stats("R");
+  EXPECT_EQ(stats.splits, 1u);
+  EXPECT_EQ(stats.inserts, 1u);
+  EXPECT_EQ(stats.deletes, 2u);
+  EXPECT_GE(stats.decompressions, 2u);
+  EXPECT_GT(stats.encoded_queries, 0u);
+
+  // system.tables is Stats(), field by field.
+  const std::vector<std::string>& columns =
+      db.catalog().relation("system.tables").column_names();
+  auto tables = db.From("system.tables")
+                    .Where("rows", 0, std::numeric_limits<Value>::max())
+                    .Project(columns)
+                    .Execute();
+  ASSERT_TRUE(tables.ok()) << tables.error();
+  ASSERT_EQ(tables->rows.num_rows, 1u);
+  EXPECT_EQ(*db.SystemName(tables->rows.columns[0][0]), "R");
+  const uint64_t want[] = {
+      stats.partitions,   stats.rows,         stats.live_rows,
+      stats.deleted,      stats.queries,      stats.inserts,
+      stats.deletes,      stats.splits,       stats.merges,
+      stats.compressions, stats.decompressions, stats.encoded_queries,
+      stats.resident_column_bytes};
+  ASSERT_EQ(columns.size(), 1 + std::size(want));
+  for (size_t c = 1; c < columns.size(); ++c) {
+    EXPECT_EQ(tables->rows.columns[c][0], static_cast<Value>(want[c - 1]))
+        << columns[c];
+  }
+
+  // system.partitions.accesses is the histogram count Stats() reads.
+  auto parts = db.From("system.partitions")
+                   .Where("partition", 0, std::numeric_limits<Value>::max())
+                   .Project("partition", "accesses")
+                   .Execute();
+  ASSERT_TRUE(parts.ok()) << parts.error();
+  ASSERT_EQ(parts->rows.num_rows, stats.partitions);
+  uint64_t accesses = 0;
+  for (size_t i = 0; i < parts->rows.num_rows; ++i) {
+    const size_t p = static_cast<size_t>(parts->rows.columns[0][i]);
+    EXPECT_EQ(parts->rows.columns[1][i],
+              static_cast<Value>(stats.per_partition[p].accesses))
+        << "partition " << p;
+    accesses += stats.per_partition[p].accesses;
+  }
+  EXPECT_GT(accesses, 0u);
+
+  // The registry: sub-queries are the touched partitions, and the encoded
+  // series counts what Stats().encoded_queries counts.
+  EXPECT_EQ(MetricValue("engine_subqueries_total") - base_sub,
+            static_cast<double>(touched));
+  EXPECT_EQ(MetricValue("engine_encoded_subqueries_total") - base_encoded,
+            static_cast<double>(stats.encoded_queries));
+}
+
+TEST_F(ObservabilityTest, RegistryInventoryMatchesDocs) {
+  // One pooled query, one write and one tick reach every site that
+  // registers a metric, so the registry then holds every metric the code
+  // defines. docs/OBSERVABILITY.md's inventory must list exactly those.
+  AdaptiveConfig adaptive;
+  adaptive.enabled = true;
+  DatabaseOptions options;
+  options.pool_threads = 2;
+  Database db(options);
+  ASSERT_TRUE(db.RegisterSharded("R", *source_, RangeShards(kPartitions),
+                                 "sideways", adaptive)
+                  .ok());
+  ASSERT_TRUE(db.From("R").Where(AttrName(1), 1, kDomain).Count().Execute()
+                  .ok());
+  const Value row[] = {1, 2, 3, 4};
+  ASSERT_NE(db.Insert("R", row), kInvalidKey);
+  (void)db.MaybeRepartition("R");
+
+  const auto base_name = [](const std::string& name) {
+    return name.substr(0, name.find('{'));  // labels stripped
+  };
+  std::set<std::string> registered;
+  for (const obs::MetricSample& s : obs::MetricsRegistry::Global().Snapshot()) {
+    registered.insert(base_name(s.name));
+  }
+  // The inventory table: one row per metric, its name backticked first.
+  std::ifstream doc(std::string(CRACKDB_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  ASSERT_TRUE(doc.is_open());
+  std::set<std::string> documented;
+  bool in_inventory = false;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind('#', 0) == 0) {
+      in_inventory = line == "### Inventory";
+    } else if (in_inventory && line.rfind("| `", 0) == 0) {
+      documented.insert(base_name(line.substr(3, line.find('`', 3) - 3)));
+    }
+  }
+  EXPECT_EQ(registered, documented);
 }
 
 TEST_F(ObservabilityTest, RegistryAgreesWithSummedQueryCosts) {

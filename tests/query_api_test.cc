@@ -79,6 +79,37 @@ double ReconstructMicrosTotal() {
       .value();
 }
 
+// The fluent chain that builds the same query as the hand-assembled `raw`.
+QueryBuilder BuilderFor(const Query& raw, Database* db) {
+  QueryBuilder builder(raw.table, db);
+  for (const QuerySpec::Selection& sel : raw.spec.selections) {
+    builder.Where(sel.attr, sel.pred);
+  }
+  builder.Project(raw.spec.projections);
+  const ConsumeSpec& consume = raw.consume;
+  switch (consume.kind) {
+    case ConsumeKind::kCount:
+      builder.Count();
+      break;
+    case ConsumeKind::kAggregate:
+      builder.Aggregate(consume.op, consume.attr);
+      break;
+    case ConsumeKind::kGroupBy:
+      builder.GroupBy(consume.group_attr);
+      for (const GroupAggregate& agg : consume.group_aggs) {
+        builder.Aggregate(agg.op, agg.attr);
+      }
+      break;
+    case ConsumeKind::kForEach:
+      builder.ForEach(consume.visitor);
+      break;
+    case ConsumeKind::kMaterialize:
+      builder.Materialize();
+      break;
+  }
+  return builder;
+}
+
 class QueryApiTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -135,30 +166,6 @@ TEST_F(QueryApiTest, OrWhereCompilesDisjunctive) {
   EXPECT_TRUE(compiled.error.empty()) << compiled.error;
   EXPECT_TRUE(compiled.spec.disjunctive);
   EXPECT_EQ(compiled.spec.selections.size(), 2u);
-}
-
-TEST_F(QueryApiTest, CountCompilesToProjectionFreeSpec) {
-  QueryBuilder builder;
-  builder.Where(AttrName(1), 1, 100).Project(AttrName(3)).Count();
-  const Query compiled = builder.Build();
-  EXPECT_TRUE(compiled.error.empty());
-  // The pushdown: a count declares no projections at all, so chunk-wise
-  // engines materialize nothing.
-  EXPECT_TRUE(compiled.spec.projections.empty());
-  EXPECT_EQ(compiled.consume.kind, ConsumeKind::kCount);
-}
-
-TEST_F(QueryApiTest, AggregateCompilesToSingleProjection) {
-  QueryBuilder builder;
-  builder.Where(AttrName(1), 1, 100)
-      .Project(AttrName(3), AttrName(4))
-      .Aggregate(AggregateOp::kMin, AttrName(2));
-  const Query compiled = builder.Build();
-  EXPECT_TRUE(compiled.error.empty());
-  // Exactly the folded attribute is declared — nothing else will ever be
-  // materialized by engines with binding projection declarations.
-  EXPECT_EQ(compiled.spec.projections,
-            std::vector<std::string>{AttrName(2)});
 }
 
 // ---------------------------------------------------------------------------
@@ -325,14 +332,6 @@ TEST_F(QueryApiTest, UnknownAttributeIsAnError) {
             std::string::npos);
 }
 
-TEST_F(QueryApiTest, MaterializeWithoutProjectionIsAnError) {
-  auto db = MakeDb("plain");
-  auto result = db->From("R").Where(AttrName(1), 1, 10).Execute();
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.error().find("Materialize()"), std::string::npos)
-      << result.error();
-}
-
 TEST_F(QueryApiTest, MixedConnectivesIsAnError) {
   QueryBuilder builder;
   builder.Where(AttrName(1), 1, 10)
@@ -348,84 +347,6 @@ TEST_F(QueryApiTest, UnboundExecuteIsAnError) {
   auto result = builder.Execute();
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error().find("unbound"), std::string::npos);
-}
-
-TEST_F(QueryApiTest, ForEachWithoutVisitorOrProjectionIsAnError) {
-  QueryBuilder no_visitor;
-  no_visitor.Where(AttrName(1), 1, 10).Project(AttrName(2));
-  no_visitor.ForEach(nullptr);
-  EXPECT_FALSE(no_visitor.Build().error.empty());
-
-  QueryBuilder no_projection;
-  no_projection.Where(AttrName(1), 1, 10)
-      .ForEach([](std::span<const Value>) {});
-  EXPECT_FALSE(no_projection.Build().error.empty());
-}
-
-// The grouped-terminal validation matrix. Regression coverage for the
-// latent gap the GroupBy terminal closed: the builder must reject an
-// aggregate attribute that duplicates the group key, and an explicit
-// Project() list that conflicts with the grouped pushdown (the grouped
-// result only ever carries the key and aggregate columns, so the
-// projection's attrs would be silently cleared).
-TEST_F(QueryApiTest, GroupByAggregateOfGroupKeyIsAnError) {
-  QueryBuilder builder;
-  builder.Where(AttrName(1), 1, 100)
-      .GroupBy(AttrName(2))
-      .Aggregate(AggregateOp::kSum, AttrName(2));
-  const Query compiled = builder.Build();
-  EXPECT_NE(compiled.error.find("duplicates the group key"),
-            std::string::npos)
-      << compiled.error;
-
-  // The same rejection through the Database path (hand-built queries get
-  // identical validation).
-  auto db = MakeDb("plain");
-  auto result = db->From("R")
-                    .Where(AttrName(1), 1, 100)
-                    .GroupBy(AttrName(2))
-                    .Aggregate(AggregateOp::kCount, AttrName(2))
-                    .Execute();
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.error().find("duplicates the group key"),
-            std::string::npos)
-      << result.error();
-}
-
-TEST_F(QueryApiTest, GroupByProjectConflictIsAnError) {
-  QueryBuilder builder;
-  builder.Where(AttrName(1), 1, 100)
-      .Project(AttrName(4))
-      .GroupBy(AttrName(2))
-      .Aggregate(AggregateOp::kSum, AttrName(3));
-  const Query compiled = builder.Build();
-  EXPECT_NE(compiled.error.find("conflicts with GroupBy()"),
-            std::string::npos)
-      << compiled.error;
-}
-
-TEST_F(QueryApiTest, GroupByWithoutKeyOrAggregatesIsAnError) {
-  QueryBuilder no_aggs;
-  no_aggs.Where(AttrName(1), 1, 100).GroupBy(AttrName(2));
-  EXPECT_NE(no_aggs.Build().error.find("at least one Aggregate()"),
-            std::string::npos);
-
-  QueryBuilder no_key;
-  no_key.Where(AttrName(1), 1, 100)
-      .GroupBy("")
-      .Aggregate(AggregateOp::kSum, AttrName(2));
-  EXPECT_FALSE(no_key.Build().error.empty());
-}
-
-TEST_F(QueryApiTest, ScalarKCountAggregateIsAnError) {
-  // kCount only makes sense per group; the scalar cardinality terminal is
-  // Count().
-  QueryBuilder builder;
-  builder.Where(AttrName(1), 1, 100)
-      .Aggregate(AggregateOp::kCount, AttrName(2));
-  const Query compiled = builder.Build();
-  EXPECT_NE(compiled.error.find("grouped-only"), std::string::npos)
-      << compiled.error;
 }
 
 TEST_F(QueryApiTest, GroupByUnknownAttributesAreErrors) {
@@ -449,57 +370,97 @@ TEST_F(QueryApiTest, GroupByUnknownAttributesAreErrors) {
             std::string::npos);
 }
 
-TEST_F(QueryApiTest, GroupByCompilesToDedupedPushdownProjection) {
-  QueryBuilder builder;
-  builder.Where(AttrName(1), 1, 100)
-      .GroupBy(AttrName(2))
-      .Aggregate(AggregateOp::kSum, AttrName(3))
-      .Aggregate(AggregateOp::kMin, AttrName(3))
-      .Aggregate(AggregateOp::kCount, AttrName(4));
-  const Query compiled = builder.Build();
-  EXPECT_TRUE(compiled.error.empty()) << compiled.error;
-  EXPECT_EQ(compiled.consume.kind, ConsumeKind::kGroupBy);
-  // The key once, each folded attribute once; the kCount placeholder attr
-  // is never fetched so it is not declared.
-  EXPECT_EQ(compiled.spec.projections,
-            (std::vector<std::string>{AttrName(2), AttrName(3)}));
-}
-
 TEST_F(QueryApiTest, HandBuiltQueriesGetTheSameValidationAsBuilt) {
   // Query is a public aggregate; Execute must re-apply the builder's
   // terminal compile step so a hand-assembled query can never reach an
-  // engine in a state Build() would have rejected or normalized.
+  // engine in a state Build() would have rejected or normalized. Every
+  // failure of the step, and every terminal's compiled projections, go
+  // through both surfaces: Build() on the fluent chain, and Execute on
+  // the hand-built Query. Both must agree. The grouped cases include the
+  // two gaps the GroupBy terminal closed: an aggregate of the group key,
+  // and a Project() list the grouped pushdown would silently replace.
   auto db = MakeDb("partial");
-  crackdb::Query foreach_no_visitor;
-  foreach_no_visitor.table = "R";
-  foreach_no_visitor.spec.selections = {
-      {AttrName(1), RangePredicate::Closed(1, 100)}};
-  foreach_no_visitor.spec.projections = {AttrName(2)};
-  foreach_no_visitor.consume.kind = ConsumeKind::kForEach;  // null visitor
-  auto fe = db->Execute(foreach_no_visitor);
-  ASSERT_FALSE(fe.ok());
-  EXPECT_NE(fe.error().find("visitor"), std::string::npos);
-
-  crackdb::Query materialize_no_projection;
-  materialize_no_projection.table = "R";
-  materialize_no_projection.spec.selections = {
-      {AttrName(1), RangePredicate::Closed(1, 100)}};
-  auto mat = db->Execute(materialize_no_projection);
-  ASSERT_FALSE(mat.ok());
-  EXPECT_NE(mat.error().find("Materialize()"), std::string::npos);
-
-  // An aggregate whose spec never declared the folded attribute: the
-  // normalization injects it (chunk-wise engines' declarations are
-  // binding), so this runs instead of asserting inside the engine.
-  crackdb::Query undeclared_aggregate;
-  undeclared_aggregate.table = "R";
-  undeclared_aggregate.spec.selections = {
-      {AttrName(1), RangePredicate::Closed(1, 500)}};
-  undeclared_aggregate.consume =
-      ConsumeSpec::Aggregate(AggregateOp::kMax, AttrName(2));
-  auto agg = db->Execute(undeclared_aggregate);
-  ASSERT_TRUE(agg.ok()) << agg.error();
-  EXPECT_TRUE(agg->aggregate_valid);
+  using Aggs = std::vector<GroupAggregate>;
+  using Names = std::vector<std::string>;
+  const auto visitor = [](std::span<const Value>) {};
+  struct Case {
+    ConsumeSpec consume;
+    Names declared;     // the hand-built spec's projections
+    std::string error;  // "" = valid
+    Names compiled;     // projections after the compile step, when valid
+  };
+  const std::string a2 = AttrName(2), a3 = AttrName(3), a4 = AttrName(4);
+  const std::vector<Case> cases = {
+      {ConsumeSpec::Count(), {a3}, "", {}},
+      {ConsumeSpec::Aggregate(AggregateOp::kMax, a2), {a3, a4}, "", {a2}},
+      // Never declared the folded attribute: the step declares it (the
+      // chunk-wise engines' declarations are binding).
+      {ConsumeSpec::Aggregate(AggregateOp::kMin, a2), {}, "", {a2}},
+      {ConsumeSpec::Aggregate(AggregateOp::kSum, ""), {},
+       "Aggregate() requires an attribute", {}},
+      {ConsumeSpec::Aggregate(AggregateOp::kCount, a2), {},
+       "Aggregate(kCount) is grouped-only", {}},
+      {ConsumeSpec::GroupBy("", Aggs{{AggregateOp::kSum, a2}}), {},
+       "GroupBy() requires an attribute", {}},
+      {ConsumeSpec::GroupBy(a2, {}), {},
+       "GroupBy() requires at least one Aggregate()", {}},
+      {ConsumeSpec::GroupBy(a2, Aggs{{AggregateOp::kSum, ""}}), {},
+       "Aggregate() requires an attribute", {}},
+      {ConsumeSpec::GroupBy(a2, Aggs{{AggregateOp::kSum, a2}}), {},
+       "aggregate attribute '" + a2 + "' duplicates the group key", {}},
+      {ConsumeSpec::GroupBy(a2, Aggs{{AggregateOp::kCount, a2}}), {},
+       "aggregate attribute '" + a2 + "' duplicates the group key", {}},
+      {ConsumeSpec::GroupBy(a2, Aggs{{AggregateOp::kSum, a3}}), {a4},
+       "Project('" + a4 + "', ...) conflicts with GroupBy()", {}},
+      {ConsumeSpec::GroupBy(a2, Aggs{{AggregateOp::kSum, a3},
+                                     {AggregateOp::kMin, a3},
+                                     {AggregateOp::kCount, a4}}),
+       {}, "", {a2, a3}},
+      // Already compiled: the step is idempotent.
+      {ConsumeSpec::GroupBy(a2, Aggs{{AggregateOp::kSum, a3}}), {a2, a3}, "",
+       {a2, a3}},
+      {ConsumeSpec::ForEach(nullptr), {a2}, "ForEach() requires a visitor",
+       {}},
+      {ConsumeSpec::ForEach(visitor), {},
+       "ForEach() requires at least one projected attribute", {}},
+      {ConsumeSpec::ForEach(visitor), {a2, a3}, "", {a2, a3}},
+      {ConsumeSpec::Materialize(), {},
+       "Materialize() requires at least one projected attribute", {}},
+      {ConsumeSpec::Materialize(), {a2, a3}, "", {a2, a3}},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    crackdb::Query by_hand;
+    by_hand.table = "R";
+    by_hand.spec.selections = {{AttrName(1), RangePredicate::Closed(1, 500)}};
+    by_hand.spec.projections = cases[i].declared;
+    by_hand.consume = cases[i].consume;
+    const Query built = BuilderFor(by_hand, db.get()).Build();
+    auto via_builder = db->Execute(built);
+    auto via_hand = db->Execute(by_hand);
+    if (!cases[i].error.empty()) {
+      EXPECT_EQ(built.error.find(cases[i].error), 0u)
+          << "case " << i << ": " << built.error;
+      ASSERT_FALSE(via_hand.ok() || via_builder.ok()) << "case " << i;
+      EXPECT_EQ(via_hand.error(), built.error) << "case " << i;
+      EXPECT_EQ(via_builder.error(), built.error) << "case " << i;
+      continue;
+    }
+    EXPECT_TRUE(built.error.empty()) << "case " << i << ": " << built.error;
+    EXPECT_EQ(built.spec.projections, cases[i].compiled) << "case " << i;
+    ASSERT_TRUE(via_builder.ok() && via_hand.ok()) << "case " << i;
+    EXPECT_EQ(via_hand->count, via_builder->count) << "case " << i;
+    EXPECT_EQ(via_hand->aggregate, via_builder->aggregate) << "case " << i;
+    EXPECT_EQ(via_hand->aggregate_valid,
+              cases[i].consume.kind == ConsumeKind::kAggregate)
+        << "case " << i;
+    EXPECT_EQ(via_builder->aggregate_valid, via_hand->aggregate_valid)
+        << "case " << i;
+    EXPECT_EQ(via_hand->groups.keys, via_builder->groups.keys) << "case " << i;
+    EXPECT_EQ(via_hand->groups.aggregates, via_builder->groups.aggregates)
+        << "case " << i;
+    EXPECT_EQ(ZipRows(via_hand->rows), ZipRows(via_builder->rows))
+        << "case " << i;
+  }
 }
 
 TEST_F(QueryApiTest, BatchKeepsPerQueryErrorsIsolated) {
